@@ -192,7 +192,7 @@ def install_worker_backend(backend: Union[str, Backend] = NumpyBackend.name,
                            dtype=None) -> Backend:
     """Per-process installation hook for executor worker processes.
 
-    A worker process (see :class:`repro.serving.ProcessExecutor`) must not
+    A worker process (see :class:`repro.runtime.pool.WorkerPool`) must not
     share mutable backend state — workspace scratch buffers, the dtype
     policy — with the parent, so each worker calls this once at startup:
     a *fresh* backend instance is built (by registry name, so the parent

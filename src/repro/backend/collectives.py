@@ -24,43 +24,26 @@ Bit-exactness is a *design rule* here, not an aspiration:
 Two transports implement the same :class:`Collectives` interface:
 :class:`SerialCollectives` runs shard kernels inline (the reference, and the
 fallback inside worker processes — a shard worker must never spawn its own
-pool), :class:`ProcessCollectives` runs them on a persistent pool of worker
-processes reusing the fork-or-spawn + private-task-queue + shared-result-queue
-IPC machinery of :class:`repro.serving.executor.ProcessExecutor`, including
-its typed worker-death handling: a worker dying mid-collective fails the call
-with :class:`~repro.exceptions.WorkerDiedError` (a collective is all-or-
-nothing — a missing contribution would silently change the reduction), and the
-pool respawns the worker so the next call finds a healthy world.
+pool), :class:`ProcessCollectives` runs them on the shared worker runtime,
+:class:`repro.runtime.pool.WorkerPool`, and adds only the shard role: model
+and dtype re-sync, the kernel registry, and the rule that one failure fails
+the whole call — a worker dying mid-collective raises
+:class:`~repro.exceptions.WorkerDiedError` (a missing contribution would
+silently change the reduction), and the pool respawns the worker so the next
+call finds a healthy world.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import queue
-import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.backend.policy import default_dtype
 from repro.backend.registry import register_op
-from repro.exceptions import (
-    ConfigurationError,
-    ExecutorError,
-    ShapeError,
-    WorkerDiedError,
-)
-
-#: Seconds between liveness checks while waiting on the IPC result queue.
-_POLL_SECONDS = 0.1
-
-#: Grace a ``kill_worker(wait=False)`` crash holds the worker alive for, so
-#: the next collective call deterministically queues its tasks *before* the
-#: worker dies — without it the death races the call's pre-queue liveness
-#: check and the mid-collective failure path is only hit by luck.
-_CRASH_GRACE_SECONDS = 0.25
+from repro.exceptions import ConfigurationError, ExecutorError, ShapeError
+from repro.runtime.pool import Worker, WorkerPool
 
 #: Set in shard worker processes so a backend built there degrades to the
 #: serial transport instead of recursively spawning pools.
@@ -271,14 +254,13 @@ class ShardWorkerState:
     shard-resident data across calls without re-shipping it every step.
     """
 
-    __slots__ = ("model", "model_token", "cache")
+    __slots__ = ("model", "cache")
 
     def __init__(self) -> None:
         self.model = None
-        self.model_token: Any = None
         self.cache: Dict[Any, Any] = {}
 
-    def install_model(self, token, input_dim, config_fields, state_dict) -> None:
+    def install_model(self, input_dim, config_fields, state_dict) -> None:
         """Rebuild the embedding network from a broadcast blob (worker side).
 
         The network is constructed under the *shipped parameters'* dtype, not
@@ -308,7 +290,6 @@ class ShardWorkerState:
         model.load_state_dict(state_dict)
         model.eval()
         self.model = model
-        self.model_token = token
 
     def require_model(self):
         if self.model is None:
@@ -424,90 +405,40 @@ def _kernel_herd_release(state: ShardWorkerState, payload):
 
 
 # ---------------------------------------------------------------------- #
-# process worker machinery (mirrors serving/executor.py's pool idioms)
+# process worker role
 # ---------------------------------------------------------------------- #
-def _portable_error(error: BaseException) -> BaseException:
-    """The error itself when picklable, else a typed stand-in."""
-    try:
-        pickle.loads(pickle.dumps(error))
-        return error
-    except Exception:
-        return ExecutorError(f"{type(error).__name__}: {error}")
+class _ShardRole:
+    """What a :class:`ProcessCollectives` worker does with its messages.
 
-
-def _shard_worker_main(worker_index, task_queue, result_queue, backend_name, dtype_name):
-    """Shard worker loop: install a backend, run named kernels on demand.
-
-    Messages: ``("model", token, input_dim, config_fields, state_dict)``
-    rebuilds the shard's embedding network; ``("dtype", name)`` re-installs
-    the compute dtype (the coordinator's policy is a dynamic scoped setting —
-    ``precision(...)`` — so the spawn-time dtype can go stale) and drops the
-    resident model so the next broadcast rebuilds it under the new precision;
-    ``("run", task_id, kernel_name, payload)`` answers ``(task_id, result,
-    error)`` on the shared result queue; ``("crash",)`` kills the process
-    without cleanup (the typed worker-death tests); ``None`` shuts down
-    cleanly.
+    Built once per worker process by the :class:`~repro.runtime.pool
+    .WorkerPool`: ``("dtype", name)`` re-installs the compute dtype (the
+    coordinator's policy is a dynamic scoped setting — ``precision(...)`` —
+    so it is re-synced per call) and drops the resident model so the next
+    broadcast rebuilds it under the new precision; ``("model", input_dim,
+    config_fields, state_dict)`` rebuilds the shard's embedding network.  A
+    ``(kernel_name, payload)`` task answers the named shard kernel's result.
     """
-    os.environ[_WORKER_ENV] = "1"
-    from repro.backend.backend import install_worker_backend
-    from repro.backend.policy import set_default_dtype
 
-    install_worker_backend(backend_name, dtype=dtype_name)
-    state = ShardWorkerState()
-    while True:
-        try:
-            message = task_queue.get()
-        except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover
-            break
-        if message is None:
-            break
-        kind = message[0]
-        if kind == "dtype":
+    def __init__(self, index: int) -> None:
+        os.environ[_WORKER_ENV] = "1"
+        self.state = ShardWorkerState()
+
+    def handle(self, message: tuple) -> None:
+        from repro.backend.policy import set_default_dtype
+
+        self.state.model = None  # stale under a new dtype, or being replaced
+        if message[0] == "dtype":
             set_default_dtype(message[1])
-            # The resident model was built under the old precision; the
-            # coordinator resets this worker's token so the next run
-            # re-broadcasts and install_model rebuilds it.
-            state.model = None
-            state.model_token = None
-            continue
-        if kind == "model":
-            _, token, input_dim, config_fields, state_dict = message
-            try:
-                state.install_model(token, input_dim, config_fields, state_dict)
-            except Exception:
-                # Surfaces as a typed failure on the next "run" that needs it.
-                state.model = None
-                state.model_token = None
-            continue
-        if kind == "crash":
-            if len(message) > 1 and message[1]:
-                time.sleep(message[1])
-            os._exit(1)
-        _, task_id, kernel_name, payload = message
+            return
         try:
-            kernel = get_shard_kernel(kernel_name)
-            result = kernel(state, payload)
-        except Exception as error:
-            result_queue.put((task_id, None, _portable_error(error)))
-        else:
-            result_queue.put((task_id, result, None))
+            self.state.install_model(*message[1:])
+        except Exception:
+            # Left without a model: the next task that needs one fails typed.
+            return
 
-
-class _ShardWorker:
-    """One pool member: the OS process, its private task queue, shipped token."""
-
-    __slots__ = ("index", "process", "task_queue", "model_token", "dtype_name")
-
-    def __init__(self, index, process, task_queue, dtype_name) -> None:
-        self.index = index
-        self.process = process
-        self.task_queue = task_queue
-        # Token of the model blob this worker holds; a respawned replacement
-        # starts at None so the next run re-broadcasts to it.
-        self.model_token: Any = None
-        # Compute dtype the worker currently has installed; re-synced before
-        # every collective because the coordinator's dtype is a scoped policy.
-        self.dtype_name = dtype_name
+    def run(self, payload: tuple) -> Any:
+        kernel_name, kernel_payload = payload
+        return get_shard_kernel(kernel_name)(self.state, kernel_payload)
 
 
 # ---------------------------------------------------------------------- #
@@ -586,7 +517,6 @@ class SerialCollectives(Collectives):
 
     def broadcast_model(self, model, token: Any) -> None:
         self._state.model = model
-        self._state.model_token = token
 
     def run(self, kernel: str, payloads: Sequence[Any]) -> List[Any]:
         fn = get_shard_kernel(kernel)
@@ -596,14 +526,13 @@ class SerialCollectives(Collectives):
 class ProcessCollectives(Collectives):
     """Persistent multi-process transport, one OS process per shard.
 
-    Reuses the :class:`~repro.serving.executor.ProcessExecutor` pool idioms:
-    fork when available (spawn otherwise), a private task queue per worker, a
-    shared result queue polled with liveness checks, chaos ``("crash",)``
-    injection, and identity-based dead-worker reaping with respawn.  Unlike
-    the serving executor — where one dead batch fails one future — a dead
-    worker here fails the *whole* collective call with
-    :class:`~repro.exceptions.WorkerDiedError`: a reduction missing one
-    shard's contribution would be silently wrong, which is worse than loud.
+    Runs on the shared :class:`~repro.runtime.pool.WorkerPool` (spawn and
+    respawn, typed worker death, the optional per-call deadline, the chaos
+    ``kill_worker`` hook).  Unlike the serving executor — where one dead
+    batch fails one future — any failure here fails the *whole* collective
+    call, a dead worker with :class:`~repro.exceptions.WorkerDiedError`: a
+    reduction missing one shard's contribution would be silently wrong,
+    which is worse than loud.
     """
 
     name = "process"
@@ -617,84 +546,23 @@ class ProcessCollectives(Collectives):
         if timeout is not None and timeout <= 0:
             raise ConfigurationError(f"timeout must be positive, got {timeout}")
         super().__init__(shards)
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        self._backend_name = backend_name
         #: Optional wall-clock bound per collective call.  A worker that is
         #: *alive but stuck* (wedged BLAS call, blocked queue put) never trips
         #: the dead-worker reaping, so without a deadline the call would spin
         #: forever; past the bound the stuck workers are killed, their slots
         #: respawned, and the call fails with a typed ExecutorError.
         self._timeout = timeout
-        self._workers: List[_ShardWorker] = []
-        self._results = None
-        self._task_counter = 0
+        self._pool = WorkerPool(_ShardRole, self.shards, name="shard", backend=backend_name)
         # Last broadcast model blob: (token, input_dim, config_fields, state).
         self._model_blob: Optional[tuple] = None
 
-    # -- pool lifecycle ------------------------------------------------- #
-    def _ensure_workers(self) -> None:
-        if self._workers:
-            return
-        if self._results is None:
-            self._results = self._context.Queue()
-        for index in range(self.shards):
-            self._spawn(index)
-
-    def _spawn(self, index: int) -> None:
-        task_queue = self._context.Queue()
-        dtype_name = str(default_dtype())
-        process = self._context.Process(
-            target=_shard_worker_main,
-            args=(index, task_queue, self._results, self._backend_name,
-                  dtype_name),
-            daemon=True,
-            name=f"repro-shard-{index}",
-        )
-        process.start()
-        worker = _ShardWorker(index, process, task_queue, dtype_name)
-        if index < len(self._workers):
-            self._workers[index] = worker
-        else:
-            self._workers.append(worker)
-
     def kill_worker(self, index: int, *, wait: bool = True) -> int:
-        """Chaos hook: crash one shard worker (``os._exit`` in-process).
-
-        With ``wait`` the process is joined, so the next collective call
-        finds the worker already dead *before* queueing and silently respawns
-        the slot (the died-idle path — no typed failure).  Without it the
-        crash message sits ahead of whatever that call queues — and carries a
-        short grace sleep holding the worker alive through that call's
-        pre-queue liveness check — so the worker deterministically dies
-        holding tasks: the mid-collective death that fails the whole call
-        with :class:`~repro.exceptions.WorkerDiedError`.  Returns the pool
-        index.
-        """
-        self._ensure_workers()
-        worker = self._workers[index % self.shards]
-        worker.task_queue.put(("crash",) if wait else ("crash", _CRASH_GRACE_SECONDS))
-        if wait:
-            worker.process.join(timeout=5.0)
-        return worker.index
+        """Chaos hook: crash one worker; see
+        :meth:`~repro.runtime.pool.WorkerPool.kill_worker`."""
+        return self._pool.kill_worker(index, wait=wait)
 
     def close(self) -> None:
-        for worker in self._workers:
-            try:
-                worker.task_queue.put(None)
-            except (ValueError, OSError):  # pragma: no cover - queue torn down
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-        self._workers = []
-        if self._results is not None:
-            self._results.close()
-            self._results = None
+        self._pool.close()
 
     # -- model broadcast ------------------------------------------------ #
     def broadcast_model(self, model, token: Any) -> None:
@@ -702,8 +570,8 @@ class ProcessCollectives(Collectives):
 
         The blob is built once per token (``state_dict`` copies the params so
         later training steps cannot mutate what a worker will deserialise);
-        :meth:`run` ships it only to workers whose held token differs — a
-        respawned worker starts at ``None`` and re-syncs automatically.
+        :meth:`run` ships it only to workers that do not hold the token — a
+        respawned worker holds nothing and re-syncs automatically.
         """
         if self._model_blob is not None and self._model_blob[0] == token:
             return
@@ -716,135 +584,42 @@ class ProcessCollectives(Collectives):
             model.state_dict(),
         )
 
-    def _sync_model(self, worker: _ShardWorker) -> None:
-        if self._model_blob is None:
-            return
-        token, input_dim, config_fields, state = self._model_blob
-        if worker.model_token == token:
-            return
-        worker.task_queue.put(("model", token, input_dim, config_fields, state))
-        worker.model_token = token
-
-    def _sync_dtype(self, worker: _ShardWorker) -> None:
-        """Re-install the call-time compute dtype on a stale worker.
+    def _sync(self, worker: Worker) -> None:
+        """Ship the call-time dtype, then the model, to a stale worker.
 
         The coordinator's dtype is a *scoped* policy (``precision(...)``), so
         a pool spawned under one precision can serve calls made under another;
         without this re-sync the worker would rebuild models and embed under
-        the spawn-time dtype and silently diverge from the serial path.  The
-        dtype message is queued ahead of any model/run message for this call
-        (private FIFO task queue), and the worker's held model token is reset
-        so the resident network is rebuilt under the new precision.
+        a stale dtype and silently diverge from the serial path.  Both
+        messages queue ahead of this call's tasks (private FIFO task queue);
+        a dtype change forgets the held model token so the resident network
+        is rebuilt under the new precision.
         """
         current = str(default_dtype())
-        if worker.dtype_name == current:
-            return
-        worker.task_queue.put(("dtype", current))
-        worker.dtype_name = current
-        worker.model_token = None
+        if worker.holds.get("dtype") != current:
+            worker.send(("dtype", current))
+            worker.holds = {"dtype": current}
+        if self._model_blob is not None and worker.holds.get("model") != self._model_blob[0]:
+            worker.send(("model",) + self._model_blob[1:])
+            worker.holds["model"] = self._model_blob[0]
 
     # -- execution ------------------------------------------------------ #
     def run(self, kernel: str, payloads: Sequence[Any]) -> List[Any]:
-        self._ensure_workers()
         get_shard_kernel(kernel)  # fail fast on typos, before any IPC
-        deadline = (
-            time.monotonic() + self._timeout if self._timeout is not None else None
-        )
-        pending: Dict[int, int] = {}  # task_id -> payload position
-        owners: Dict[int, _ShardWorker] = {}
-        ordered: List[Any] = [None] * len(payloads)
+        positions: Dict[int, int] = {}  # task id -> payload position
         for position, payload in enumerate(payloads):
-            worker = self._workers[position % self.shards]
-            if not worker.process.is_alive():
-                # Died idle between calls: respawn before queueing so the
-                # call doesn't burn its tasks just to notice.
-                self._spawn(worker.index)
-                worker = self._workers[worker.index]
-            self._sync_dtype(worker)
-            self._sync_model(worker)
-            self._task_counter += 1
-            task_id = self._task_counter
-            pending[task_id] = position
-            owners[task_id] = worker
-            worker.task_queue.put(("run", task_id, kernel, payload))
+            worker = self._pool.worker(position)
+            self._sync(worker)
+            positions[self._pool.submit(worker, (kernel, payload))] = position
+        ordered: List[Any] = [None] * len(payloads)
         failure: Optional[BaseException] = None
-        while pending:
-            try:
-                task_id, result, error = self._results.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                died = self._reap_dead(pending, owners)
-                if died is not None and failure is None:
-                    failure = died
-                if deadline is not None and pending and time.monotonic() > deadline:
-                    self._fail_stuck(kernel, pending, owners)
-                continue
-            position = pending.pop(task_id, None)
-            if position is None:
-                # Late answer for a task already failed via a dead worker —
-                # the collective was aborted once; never resurrect it.
-                continue
-            owners.pop(task_id, None)
+        for task_id, result, error in self._pool.collect(self._timeout):
             if error is not None and failure is None:
                 failure = error
-            ordered[position] = result
+            ordered[positions[task_id]] = result
         if failure is not None:
             raise failure
         return ordered
-
-    def _reap_dead(self, pending, owners) -> Optional[WorkerDiedError]:
-        """Fail tasks owned by dead workers; respawn their slots.
-
-        Matching is by worker *identity*: a slot respawned mid-call may own
-        tasks under both the dead object and its replacement, and only the
-        former's are failed.  Returns the typed error (the whole collective
-        aborts) or ``None`` when everyone is alive.
-        """
-        dead = {
-            id(worker): worker
-            for worker in owners.values()
-            if not worker.process.is_alive()
-        }
-        if not dead:
-            return None
-        error: Optional[WorkerDiedError] = None
-        for task_id in [tid for tid, worker in owners.items() if id(worker) in dead]:
-            pending.pop(task_id, None)
-            worker = owners.pop(task_id)
-            if error is None:
-                error = WorkerDiedError(
-                    f"shard worker {worker.index} (pid {worker.process.pid}) "
-                    f"died mid-collective; the reduction is incomplete"
-                )
-        for worker in dead.values():
-            if self._workers[worker.index] is worker:
-                self._spawn(worker.index)
-        return error
-
-    def _fail_stuck(self, kernel: str, pending, owners) -> None:
-        """Kill alive-but-wedged workers past the deadline; raise typed.
-
-        The mirror of :meth:`_reap_dead` for the hang case: every worker
-        still owning a task is terminated (a stuck process cannot be asked
-        nicely), its slot respawned so the next collective finds a healthy
-        world, and the whole call fails with :class:`~repro.exceptions
-        .ExecutorError` — a silent infinite spin is strictly worse than a
-        loud abort.
-        """
-        stuck = {id(worker): worker for worker in owners.values()}
-        for worker in stuck.values():
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-            if self._workers[worker.index] is worker:
-                self._spawn(worker.index)
-        indices = sorted({worker.index for worker in stuck.values()})
-        pending.clear()
-        owners.clear()
-        raise ExecutorError(
-            f"collective {kernel!r} exceeded its {self._timeout:.3f}s deadline "
-            f"with {len(indices)} worker(s) unresponsive (shard indices "
-            f"{indices}); the stuck workers were killed and respawned"
-        )
 
 
 #: Transport name → class, for building collectives by name.

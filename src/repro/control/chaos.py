@@ -409,7 +409,7 @@ def run_chaos(
                         wrapper.slow = active
             elif spec.scenario == "worker-storm-process" and tick in storm:
                 # Kill a real worker; don't wait — the death lands mid-round
-                # and the next _reap_dead respawns it.
+                # and the pool respawns it.
                 client.scheduler.executor.kill_worker(tick, wait=False)
             wave = client.submit_many(requests)
             for future in wave:

@@ -14,16 +14,17 @@ that batch actually executes.  Three implementations ship with the library
   The numpy kernels release the GIL during GEMMs so compute overlaps
   partially, but this executor is primarily for I/O-shaped lanes (devices
   whose ``infer`` waits on something other than the interpreter);
-* :class:`ProcessExecutor` (``"process"``) — a persistent pool of worker
-  OS processes, one process per *lane group* (lane ``i`` always lands on
-  worker ``i % workers``, keeping per-lane caches warm).  Each worker
-  installs its own compute backend at startup
-  (:func:`repro.backend.install_worker_backend`) and serves from shipped
-  :class:`~repro.edge.inference.EngineStateSnapshot`\\ s — picklable
-  replicas of each lane's :class:`~repro.edge.inference.InferenceEngine`
-  keyed by ``PILOTE.state_version``, re-shipped automatically when a
-  broadcast or incremental update bumps the live version.  Request futures
-  are completed from the worker pool's IPC result queue inside ``drain()``.
+* :class:`ProcessExecutor` (``"process"``) — worker OS processes on the
+  shared :class:`~repro.runtime.pool.WorkerPool`, one process per *lane
+  group* (lane ``i`` always lands on worker ``i % workers``, keeping
+  per-lane caches warm).  Each worker installs its own compute backend at
+  startup (:func:`repro.backend.install_worker_backend`) and serves from
+  shipped :class:`~repro.edge.inference.EngineStateSnapshot`\\ s —
+  picklable replicas of each lane's
+  :class:`~repro.edge.inference.InferenceEngine` keyed by
+  ``PILOTE.state_version``, re-shipped automatically when a broadcast or
+  incremental update bumps the live version.  Request futures are completed
+  from the pool's IPC result queue inside ``drain()``.
 
 Executors are a *mechanism* seam: FIFO/EDF queue order, routing policies,
 rollout staging and deadline accounting all live above it in the scheduler
@@ -40,19 +41,18 @@ hardware-independent deadline numbers need the serial executor, which is
 why ``pilote fleet-sim`` rejects ``--deadline-ms`` with a wall-clock
 executor (its generated arrivals are simulated-clock quantities).
 
-Worker death is a first-class outcome, not a hang: when a worker process
-dies mid-round, its outstanding batches fail with a typed
+Worker death is a first-class outcome, not a hang: the pool fails a dead
+worker's outstanding batches with a typed
 :class:`~repro.exceptions.WorkerDiedError` (no future is dropped or
-answered twice), the worker is respawned with a fresh queue, and the next
-round re-ships whatever snapshots it lost.
+answered twice) and respawns it empty, and the next round re-ships
+whatever snapshots it lost.  This module supplies only the serving role of
+the pool: snapshot sync and delta handling, and the rule that one failure
+fails one batch.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import queue
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
@@ -64,10 +64,9 @@ from repro.utils.clock import perf_seconds
 from repro.exceptions import (
     ConfigurationError,
     ExecutorError,
-    ServingError,
     SnapshotMismatchError,
-    WorkerDiedError,
 )
+from repro.runtime.pool import Worker, WorkerPool
 
 __all__ = [
     "LaneTask",
@@ -79,10 +78,6 @@ __all__ = [
     "EXECUTORS",
     "make_executor",
 ]
-
-#: Seconds between liveness checks while waiting on the IPC result queue.
-_POLL_SECONDS = 0.1
-
 
 @dataclass(frozen=True)
 class LaneTask:
@@ -245,9 +240,7 @@ class ThreadExecutor(Executor):
         the new size on next use.  Capped at the lane count like the
         initial sizing.
         """
-        if workers <= 0:
-            raise ConfigurationError(f"workers must be positive, got {workers}")
-        workers = max(1, min(int(workers), len(self._devices)))
+        workers = _resolve_workers(workers, len(self._devices))
         if workers != self.n_workers:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
@@ -282,121 +275,86 @@ class ThreadExecutor(Executor):
 # ---------------------------------------------------------------------- #
 # process workers
 # ---------------------------------------------------------------------- #
-def _portable_error(error: BaseException) -> BaseException:
-    """The error itself when picklable, else a typed stand-in."""
-    try:
-        pickle.loads(pickle.dumps(error))
-        return error
-    except Exception:
-        return ServingError(f"{type(error).__name__}: {error}")
+class _ServingRole:
+    """What a :class:`ProcessExecutor` worker does with its messages.
 
-
-def _process_worker_main(worker_index, task_queue, result_queue, backend_name):
-    """Worker process loop: install a backend, serve shipped snapshots.
-
-    Messages: ``("sync", position, snapshot)`` installs/replaces the lane's
-    :class:`~repro.edge.inference.SnapshotEngine`; ``("delta", position,
-    delta)`` advances the retained base snapshot with an
+    Built once per worker process by the :class:`~repro.runtime.pool
+    .WorkerPool`: ``("sync", position, snapshot)`` installs/replaces the
+    lane's :class:`~repro.edge.inference.SnapshotEngine` and ``("delta",
+    position, delta)`` advances the retained base snapshot with an
     :class:`~repro.edge.inference.EngineSnapshotDelta` (only the rows that
-    moved cross the IPC queue); ``("run", task_id, position, windows)``
-    answers on the shared result queue as ``(task_id, position, outputs,
-    wall, error)``; ``("crash",)`` kills the process without cleanup (the
-    parent's worker-death path, exercised by tests); ``None`` shuts down
-    cleanly.
+    moved cross the IPC queue).  A ``(position, windows)`` task answers
+    ``(outputs, wall)``.
     """
-    from repro.backend import install_worker_backend
-    from repro.edge.inference import SnapshotEngine
 
-    install_worker_backend(backend_name)
-    engines: Dict[int, SnapshotEngine] = {}
-    snapshots: Dict[int, object] = {}  # lane -> last installed EngineStateSnapshot
-    while True:
-        try:
-            message = task_queue.get()
-        except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover
-            break
-        if message is None:
-            break
-        kind = message[0]
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.engines: Dict[int, object] = {}
+        self.snapshots: Dict[int, object] = {}  # lane -> last installed snapshot
+
+    def handle(self, message: tuple) -> None:
+        from repro.edge.inference import SnapshotEngine
+
+        kind, position, blob = message
         if kind == "sync":
-            _, position, snapshot = message
-            engines[position] = SnapshotEngine(snapshot)
-            snapshots[position] = snapshot
-            continue
-        if kind == "delta":
-            _, position, delta = message
-            # Apply onto the retained base; any failure (missing base, stale
-            # version — possible only if the parent's book-keeping broke)
-            # drops the lane so the next "run" fails typed through its future
-            # rather than serving stale state.
+            snapshot = blob
+        else:
+            # Apply the delta onto the retained base; any failure (missing
+            # base, stale version — possible only if the parent's
+            # book-keeping broke) drops the lane so the next task fails typed
+            # through its future rather than serving stale state.
             try:
-                base = snapshots.get(position)
+                base = self.snapshots.get(position)
                 if base is None:
                     raise ExecutorError(
-                        f"worker {worker_index} received a delta for lane "
+                        f"worker {self.index} received a delta for lane "
                         f"{position} but holds no base snapshot"
                     )
-                snapshot = base.apply_delta(delta)
+                snapshot = base.apply_delta(blob)
             except Exception:
-                engines.pop(position, None)
-                snapshots.pop(position, None)
-            else:
-                engines[position] = SnapshotEngine(snapshot)
-                snapshots[position] = snapshot
-            continue
-        if kind == "crash":
-            os._exit(1)
-        _, task_id, position, windows = message
-        try:
-            engine = engines.get(position)
-            if engine is None:
-                raise ExecutorError(
-                    f"worker {worker_index} holds no engine snapshot for "
-                    f"lane {position}"
-                )
-            start = perf_seconds()
-            outputs = engine.predict(windows)
-            wall = perf_seconds() - start
-        except Exception as error:
-            result_queue.put((task_id, position, None, 0.0, _portable_error(error)))
-        else:
-            result_queue.put((task_id, position, outputs, wall, None))
+                self.engines.pop(position, None)
+                self.snapshots.pop(position, None)
+                return
+        self.engines[position] = SnapshotEngine(snapshot)
+        self.snapshots[position] = snapshot
 
-
-class _Worker:
-    """One pool member: the OS process plus its private task queue."""
-
-    __slots__ = ("index", "process", "task_queue")
-
-    def __init__(self, index, process, task_queue) -> None:
-        self.index = index
-        self.process = process
-        self.task_queue = task_queue
+    def run(self, payload: tuple) -> tuple:
+        position, windows = payload
+        engine = self.engines.get(position)
+        if engine is None:
+            raise ExecutorError(
+                f"worker {self.index} holds no engine snapshot for lane {position}"
+            )
+        start = perf_seconds()
+        outputs = engine.predict(windows)
+        return outputs, perf_seconds() - start
 
 
 class ProcessExecutor(Executor):
     """Persistent multi-process worker pool, one process per lane group.
 
-    Lane ``i`` is pinned to worker ``i % workers`` so each worker keeps a
-    warm :class:`~repro.edge.inference.SnapshotEngine` per lane it owns.
+    Runs on the shared :class:`~repro.runtime.pool.WorkerPool`.  Lane ``i``
+    is pinned to worker ``i % workers`` so each worker keeps a warm
+    :class:`~repro.edge.inference.SnapshotEngine` per lane it owns.
     Snapshots are shipped lazily and re-shipped only when the lane's live
-    engine, its learner, or the learner's ``PILOTE.state_version`` changes
-    (a broadcast, an on-device increment, or a device/learner replacement —
-    a fresh learner restarts its version counter, so identity is part of
-    the staleness key), so steady-state rounds carry just the window
-    payloads.  A version bump on an already-shipped lane ships an
+    engine, its learner, or the learner's ``PILOTE.state_version`` differs
+    from what the owning worker holds (a broadcast, an on-device increment,
+    or a device/learner replacement — a fresh learner restarts its version
+    counter, so identity is part of the staleness key), so steady-state
+    rounds carry just the window payloads.  A version bump on a lane the
+    worker already holds ships an
     :class:`~repro.edge.inference.EngineSnapshotDelta` — only the prototype
     rows and parameters that moved — falling back to the full snapshot when
     the delta would not be smaller or the architecture changed
-    (``sync_stats()`` reports bytes shipped and full vs delta counts).  Every device behind the scheduler must expose an ``engine``
+    (``sync_stats()`` reports bytes shipped and full vs delta counts).
+    Every device behind the scheduler must expose an ``engine``
     (``FleetDevice``/``EdgeDevice`` do; ``serve(...)`` wires it for the
     in-process adapters) — a lane without one fails with a typed
     :class:`~repro.exceptions.ExecutorError`.
 
-    A dead worker fails its in-flight batches with
-    :class:`~repro.exceptions.WorkerDiedError` and is respawned with a
-    fresh queue before the next round; lanes it owned re-sync their
-    snapshots automatically.
+    One failure fails one batch: a dead worker fails only the batches it
+    held, with :class:`~repro.exceptions.WorkerDiedError`, and is respawned
+    empty, so the lanes it owned re-sync their snapshots automatically.
     """
 
     name = "process"
@@ -405,162 +363,39 @@ class ProcessExecutor(Executor):
 
     def __init__(self, workers: Optional[int] = None) -> None:
         self._requested = workers
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        self._workers: List[_Worker] = []
-        self._results = None
-        # lane -> (engine, learner, state_version, snapshot) last shipped.
-        # Identity matters, not just the version number: a redeploy or device
-        # replacement installs a *fresh* learner whose counter restarts, so
-        # an equal version from a different object must still re-ship.  The
-        # retained snapshot is the delta base the worker holds too, so a
-        # version bump ships only the rows that moved.
-        self._shipped: Dict[int, tuple] = {}
-        self._task_counter = 0
-        self.n_workers = 0
-        # Workers removed by resize() drain their queued messages, exit on
-        # the sentinel, and are joined opportunistically (blocking at
-        # close()) — the drain-then-retire path that keeps a shrink from
-        # killing work already handed to the pool.
-        self._retiring: List[_Worker] = []
-        self._running = False  # inside run(): tasks are in flight over IPC
+        self._pool: Optional[WorkerPool] = None
         # Shipping telemetry (survives close() so reports can read it after
         # the pool is released): bytes over the IPC queue, full vs delta.
         self.bytes_shipped = 0
         self.full_syncs = 0
         self.delta_syncs = 0
 
+    @property
+    def n_workers(self) -> int:
+        return self._pool.size if self._pool is not None else 0
+
     def bind(self, devices: Sequence) -> None:
         super().bind(devices)
-        self.n_workers = _resolve_workers(self._requested, len(devices))
-
-    # -- pool lifecycle ------------------------------------------------- #
-    def _ensure_workers(self) -> None:
-        if self._workers:
-            return
-        if self._results is None:
-            self._results = self._context.Queue()
-        for index in range(self.n_workers):
-            self._spawn(index)
-
-    def _spawn(self, index: int) -> None:
-        task_queue = self._context.Queue()
-        process = self._context.Process(
-            target=_process_worker_main,
-            args=(index, task_queue, self._results, get_backend().name),
-            daemon=True,
-            name=f"repro-worker-{index}",
+        self._pool = WorkerPool(
+            _ServingRole,
+            _resolve_workers(self._requested, len(devices)),
+            name="serving",
+            backend=get_backend().name,
         )
-        process.start()
-        worker = _Worker(index, process, task_queue)
-        if index < len(self._workers):
-            self._workers[index] = worker
-            # The replacement starts with empty caches: forget what was
-            # shipped to its dead predecessor so the next round re-syncs.
-            for position in list(self._shipped):
-                if position % self.n_workers == index:
-                    del self._shipped[position]
-        else:
-            self._workers.append(worker)
 
     def resize(self, workers: int) -> int:
-        """Grow or shrink the worker pool; returns the effective size.
-
-        Only legal *between* rounds (a resize while ``run()`` has tasks in
-        flight raises :class:`~repro.exceptions.ExecutorError` — lane
-        ownership is ``position % n_workers``, and remapping it under
-        unanswered tasks would orphan them).  Growing spawns fresh workers;
-        shrinking retires the tail workers through the drain-then-retire
-        path: the sentinel queues *behind* anything already on their task
-        queues, so queued syncs/batches complete before the process exits,
-        and the join happens opportunistically (blocking at :meth:`close`).
-        Lanes whose owning slot changed re-ship their snapshots to the new
-        owner on the next round.  Capped at the lane count.
-        """
-        if workers <= 0:
-            raise ConfigurationError(f"workers must be positive, got {workers}")
-        if self._running:
-            raise ExecutorError(
-                "cannot resize the process pool mid-round: tasks are in "
-                "flight and lane ownership is position % n_workers; resize "
-                "between drains (e.g. from a control-plane tick)"
-            )
-        workers = max(1, min(int(workers), len(self._devices)))
-        old = self.n_workers
-        self.n_workers = workers
-        if not self._workers or workers == old:
-            return self.n_workers
-        if workers > old:
-            for index in range(old, workers):
-                self._spawn(index)
-        else:
-            retired = self._workers[workers:]
-            del self._workers[workers:]
-            for worker in retired:
-                try:
-                    worker.task_queue.put(None)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-            self._retiring.extend(retired)
-        # Remap: any lane whose owner slot moved must re-sync its snapshot
-        # to the new owner (the old owner's copy is unreachable or retired).
-        for position in list(self._shipped):
-            if position % old != position % workers:
-                del self._shipped[position]
-        self._reap_retired(block=False)
-        return self.n_workers
+        """Grow or shrink the pool between rounds (capped at the lane count);
+        see :meth:`~repro.runtime.pool.WorkerPool.resize`."""
+        return self._pool.resize(_resolve_workers(workers, len(self._devices)))
 
     def kill_worker(self, index: int, *, wait: bool = True) -> int:
-        """Chaos hook: crash one pool worker (``os._exit`` in-process).
-
-        With ``wait`` the call blocks until the process is gone, so the
-        next round deterministically finds a dead worker (it is respawned
-        before queueing and no batch is lost).  Without it the crash
-        message sits behind whatever is already queued and lands mid-round:
-        batches queued after it fail with the typed
-        :class:`~repro.exceptions.WorkerDiedError` — the storm the chaos
-        scenarios drive.  Returns the killed worker's pool index.
-        """
-        self._ensure_workers()
-        worker = self._workers[index % self.n_workers]
-        worker.task_queue.put(("crash",))
-        if wait:
-            worker.process.join(timeout=5.0)
-        return worker.index
-
-    def _reap_retired(self, block: bool) -> None:
-        """Join workers retired by :meth:`resize` (best-effort when not
-        blocking; terminates stragglers when blocking at close time)."""
-        still_draining: List[_Worker] = []
-        for worker in self._retiring:
-            worker.process.join(timeout=2.0 if block else 0.0)
-            if worker.process.is_alive():
-                if block:  # pragma: no cover - stuck worker
-                    worker.process.terminate()
-                    worker.process.join(timeout=1.0)
-                else:
-                    still_draining.append(worker)
-        self._retiring = still_draining
+        """Chaos hook: crash one worker; see
+        :meth:`~repro.runtime.pool.WorkerPool.kill_worker`."""
+        return self._pool.kill_worker(index, wait=wait)
 
     def close(self) -> None:
-        for worker in self._workers:
-            try:
-                worker.task_queue.put(None)
-            except (ValueError, OSError):  # pragma: no cover - queue torn down
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-        self._workers = []
-        self._reap_retired(block=True)
-        self._shipped = {}
-        if self._results is not None:
-            self._results.close()
-            self._results = None
+        if self._pool is not None:
+            self._pool.close()
 
     # -- snapshot shipping ---------------------------------------------- #
     def _live_engine(self, position: int):
@@ -575,40 +410,41 @@ class ProcessExecutor(Executor):
             )
         return engine
 
-    def _sync_lane(self, worker: _Worker, position: int) -> None:
+    def _sync_lane(self, worker: Worker, position: int) -> None:
         engine = self._live_engine(position)
         learner = engine.learner
-        shipped = self._shipped.get(position)
-        if (
-            shipped is not None
-            and shipped[0] is engine
-            and shipped[1] is learner
-            and shipped[2] == learner.state_version
-        ):
+        # (engine, learner, state_version, snapshot) this worker holds for
+        # the lane.  Identity matters, not just the version number: a
+        # redeploy or device replacement installs a *fresh* learner whose
+        # counter restarts, so an equal version from a different object
+        # must still re-ship.  The snapshot is the worker's delta base.
+        held = worker.holds.get(position)
+        same = held is not None and held[0] is engine and held[1] is learner
+        if same and held[2] == learner.state_version:
             return
         device = self._devices[position]
         snapshot = engine.state_snapshot(
             compute_dtype=str(_device_dtype(device))
         )
         delta = None
-        if shipped is not None and shipped[0] is engine and shipped[1] is learner:
+        if same:
             # Same engine/learner, newer version: the worker still holds the
             # previously shipped snapshot, so only the rows that moved need
             # to cross the IPC queue.  Architectural changes raise
             # SnapshotMismatchError and fall back to the full re-ship.
             try:
-                delta = snapshot.diff(shipped[3])
+                delta = snapshot.diff(held[3])
             except SnapshotMismatchError:
                 delta = None
         if delta is not None and delta.nbytes < snapshot.nbytes:
-            worker.task_queue.put(("delta", position, delta))
+            worker.send(("delta", position, delta))
             self.bytes_shipped += delta.nbytes
             self.delta_syncs += 1
         else:
-            worker.task_queue.put(("sync", position, snapshot))
+            worker.send(("sync", position, snapshot))
             self.bytes_shipped += snapshot.nbytes
             self.full_syncs += 1
-        self._shipped[position] = (engine, learner, snapshot.state_version, snapshot)
+        worker.holds[position] = (engine, learner, snapshot.state_version, snapshot)
 
     def sync_stats(self) -> Dict[str, int]:
         """Cumulative snapshot-shipping telemetry (full syncs, deltas, bytes)."""
@@ -620,24 +456,10 @@ class ProcessExecutor(Executor):
 
     # -- execution ------------------------------------------------------ #
     def run(self, tasks: Sequence[LaneTask]) -> List[LaneResult]:
-        self._ensure_workers()
-        self._running = True
-        try:
-            return self._run(tasks)
-        finally:
-            self._running = False
-
-    def _run(self, tasks: Sequence[LaneTask]) -> List[LaneResult]:
-        pending: Dict[int, LaneTask] = {}
-        owners: Dict[int, _Worker] = {}
         results: List[LaneResult] = []
+        positions: Dict[int, int] = {}  # task id -> lane
         for task in tasks:
-            worker = self._workers[task.position % self.n_workers]
-            if not worker.process.is_alive():
-                # Died idle between rounds: respawn before queueing so the
-                # round doesn't burn its tasks just to notice.
-                self._spawn(worker.index)
-                worker = self._workers[worker.index]
+            worker = self._pool.worker(task.position)
             try:
                 self._sync_lane(worker, task.position)
             except Exception as error:
@@ -647,64 +469,14 @@ class ProcessExecutor(Executor):
                 # never an aborted round stranding already-queued lanes.
                 results.append(LaneResult(task.position, None, 0.0, error))
                 continue
-            self._task_counter += 1
-            task_id = self._task_counter
-            pending[task_id] = task
-            owners[task_id] = worker
-            worker.task_queue.put(
-                ("run", task_id, task.position, np.asarray(task.windows))
+            task_id = self._pool.submit(
+                worker, (task.position, np.asarray(task.windows))
             )
-        while pending:
-            try:
-                task_id, position, outputs, wall, error = self._results.get(
-                    timeout=_POLL_SECONDS
-                )
-            except queue.Empty:
-                self._reap_dead(pending, owners, results)
-                continue
-            if pending.pop(task_id, None) is None:
-                # Late answer from a worker already declared dead for this
-                # task — the future was failed once; never complete it twice.
-                continue
-            owners.pop(task_id, None)
-            results.append(LaneResult(position, outputs, wall, error))
+            positions[task_id] = task.position
+        for task_id, answer, error in self._pool.collect():
+            outputs, wall = (None, 0.0) if error is not None else answer
+            results.append(LaneResult(positions[task_id], outputs, wall, error))
         return results
-
-    def _reap_dead(self, pending, owners, results) -> None:
-        """Fail tasks owned by dead workers; respawn their processes.
-
-        Matching is by worker *identity*, not pool index: a slot whose
-        occupant died and was already replaced mid-round may own tasks
-        under both the dead object and its healthy replacement, and only
-        the former's may be failed (or its slot respawned again).
-        """
-        dead = {
-            id(worker): worker
-            for worker in owners.values()
-            if not worker.process.is_alive()
-        }
-        if not dead:
-            return
-        for task_id in [tid for tid, worker in owners.items() if id(worker) in dead]:
-            task = pending.pop(task_id)
-            worker = owners.pop(task_id)
-            results.append(
-                LaneResult(
-                    task.position,
-                    None,
-                    0.0,
-                    WorkerDiedError(
-                        f"worker process {worker.index} (pid "
-                        f"{worker.process.pid}) died before answering lane "
-                        f"{task.position}"
-                    ),
-                )
-            )
-        for worker in dead.values():
-            # Respawn only if the dead worker still occupies its slot — a
-            # mid-round replacement must not be displaced (and orphaned).
-            if self._workers[worker.index] is worker:
-                self._spawn(worker.index)
 
 
 #: CLI/config name → executor class.

@@ -475,6 +475,39 @@ class TestPiloteSharded:
         assert set(phases) == {"training", "herding", "prototype_refresh"}
         assert all(value >= 0.0 for value in phases.values())
 
+    def test_support_set_rebuild_bit_exact_under_spawn(self, config, scenario,
+                                                       monkeypatch):
+        # The spawn start method (which Linux never picks): workers start
+        # from a fresh import and get everything by message.
+        from repro.runtime import pool as worker_pool
+
+        chosen = []
+        monkeypatch.setattr(
+            worker_pool, "start_method", lambda: chosen.append("spawn") or "spawn"
+        )
+        input_dim = scenario.old_train.features.shape[1]
+
+        def rebuild(**kwargs):
+            learner = PILOTE(config, seed=0, **kwargs)
+            learner.model = EmbeddingNetwork(input_dim, config=config, rng=0)
+            try:
+                learner.build_support_set(scenario.old_train, per_class=12)
+                return [
+                    {c: store.get(c) for c in store.classes}
+                    for store in (learner.exemplars, learner.prototypes)
+                ]
+            finally:
+                learner.close()
+
+        expected = rebuild()
+        sharded = rebuild(backend="sharded", shards=2)
+        assert chosen  # the shard pool was built under spawn
+        for reference, state in zip(expected, sharded, strict=True):
+            assert reference.keys() == state.keys()
+            for class_id, array in reference.items():
+                assert array.dtype == np.float64
+                assert np.array_equal(state[class_id], array)
+
     def test_shards_require_sharded_backend(self, config):
         with pytest.raises(ConfigurationError):
             PILOTE(config, shards=2)

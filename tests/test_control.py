@@ -629,12 +629,16 @@ class TestExecutorResize:
     def test_process_resize_mid_round_raises_typed(self):
         executor = ProcessExecutor(workers=1)
         executor.bind(_devices(2))
-        executor._running = True
+        pool = executor._pool
         try:
+            # A real task in flight (submitted, not yet collected).
+            pool.submit(pool.worker(0), (0, np.zeros((1, 4))))
             with pytest.raises(ExecutorError, match="mid-round"):
                 executor.resize(2)
+            ((_, _, error),) = pool.collect()  # no snapshot shipped: typed
+            assert isinstance(error, ExecutorError)
+            assert executor.resize(2) == 2  # legal again between rounds
         finally:
-            executor._running = False
             executor.close()
 
     def test_process_pool_resize_loses_no_batches(self):
@@ -764,6 +768,15 @@ class TestChaos:
             assert report.answered + report.failed == report.sent
         static = run_chaos(spec, adaptive=False)
         assert static.failed_by_type.get("WorkerDiedError", 0) > 0
+
+    def test_process_storm_exactly_once_and_kills_land_both_modes(self):
+        # kill_worker(wait=False) holds the worker alive through the next
+        # round's pre-queue check, so each kill fails real batches.
+        spec = CHAOS_SCENARIOS["worker-storm-process"]
+        for adaptive in (True, False):
+            report = run_chaos(spec, adaptive=adaptive)
+            assert report.exactly_once, report.to_dict()
+            assert report.failed_by_type.get("WorkerDiedError", 0) > 0, adaptive
 
     def test_restart_fails_pending_typed_not_dropped(self):
         spec = ChaosSpec(

@@ -149,6 +149,21 @@ class TestExecutorEquivalence:
                 assert other.windows == stats.windows, name
                 assert other.batches == stats.batches, name
 
+    def test_process_round_matches_serial_under_spawn(self, fleet, pool, monkeypatch):
+        """The spawn start method (which Linux never picks) serves the same."""
+        from repro.runtime import pool as worker_pool
+
+        chosen = []
+        monkeypatch.setattr(
+            worker_pool, "start_method", lambda: chosen.append("spawn") or "spawn"
+        )
+        ticks = _zipf_ticks(pool, n_ticks=1)
+        expected, _ = _run_through(fleet, ticks)
+        spawned, report = _run_through(fleet, ticks, executor="process", workers=2)
+        assert chosen  # the pool was built under spawn
+        assert np.array_equal(spawned, expected)
+        assert report.total_failed == 0
+
     def test_single_lane_layers_equivalent(self, pretrained_pilote, pool):
         """serve(learner) answers identically through every executor."""
         base = serve(pretrained_pilote).predict(pool[:48])
@@ -223,9 +238,9 @@ class TestWorkerDeath:
             # Pin two requests per lane so every worker owns traffic.
             assignment = np.array([0, 1, 2, 0, 1, 2])
             futures = scheduler.submit_assigned(requests, assignment)
-            executor = scheduler.executor
-            executor._ensure_workers()
-            executor._workers[0].task_queue.put(("crash",))
+            # wait=False: the crash lands mid-round, so worker 0 dies
+            # holding lane 0's batch.
+            scheduler.executor.kill_worker(0, wait=False)
             scheduler.drain()
 
             assert all(future.done() for future in futures)

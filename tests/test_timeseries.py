@@ -1,5 +1,9 @@
 """Tests for the time-series preprocessing substrate."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -78,11 +82,13 @@ class TestDenoising:
         assert moving_average(data, window=5).shape == (30,)
 
     def test_median_filter_removes_impulses(self):
+        pytest.importorskip("scipy")
         data = np.zeros((50, 1))
         data[25, 0] = 100.0
         assert abs(median_filter(data, window=5)[25, 0]) < 1.0
 
     def test_low_pass_attenuates_high_frequency(self):
+        pytest.importorskip("scipy")
         t = np.arange(0, 2, 1 / 120)
         low = np.sin(2 * np.pi * 1.0 * t)
         high = np.sin(2 * np.pi * 40.0 * t)
@@ -93,6 +99,13 @@ class TestDenoising:
     def test_low_pass_rejects_cutoff_above_nyquist(self):
         with pytest.raises(DataError):
             low_pass_filter(np.zeros((100, 1)), cutoff_hz=70.0, sampling_rate_hz=120.0)
+
+    def test_import_repro_does_not_load_scipy(self):
+        # scipy is optional (only the two filters above need it); importing
+        # the package must neither require it nor pay for loading it.
+        code = "import sys, repro; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_denoise_dispatch_and_unknown(self):
         data = np.random.default_rng(0).normal(size=(30, 2))
