@@ -1,7 +1,8 @@
 """Free-function tensor operations built on :class:`~repro.autodiff.tensor.Tensor`.
 
-The multi-input primitives (concatenation, stacking) dispatch through the
-backend op registry — their forward/vjp rules live in
+The multi-input primitives (concatenation, stacking) and the fused backbone
+layers (``linear``, ``batch_norm_train``, ``batch_norm_eval``) dispatch
+through the backend op registry — their forward/vjp rules live in
 :mod:`repro.autodiff.primitives` as named, individually testable records.
 The composite numerical helpers (softmax, log-softmax, pairwise distances)
 are expressed in terms of registered primitives, so their tapes remain fully
@@ -10,7 +11,7 @@ named without needing dedicated backward rules.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +32,42 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("stack requires at least one tensor")
     return _apply("stack", *tensors, axis=axis)
+
+
+def linear(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``inputs @ weight + bias`` as one tape record (``bias`` may be ``None``)."""
+    if bias is None:
+        return _apply("linear", inputs, weight)
+    return _apply("linear", inputs, weight, bias)
+
+
+def batch_norm_train(
+    inputs: Tensor, gamma: Tensor, beta: Tensor, epsilon: float
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Batch normalisation over ``inputs``' own statistics, as one tape record.
+
+    Returns the output and the batch mean and (biased) variance, each of shape
+    ``(1, features)``, for the caller's running-statistics update.
+    """
+    statistics: list = []
+    output = _apply("batch_norm_train", inputs, gamma, beta, epsilon=epsilon, statistics=statistics)
+    mean, variance = statistics
+    return output, mean, variance
+
+
+def batch_norm_eval(
+    inputs: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    epsilon: float,
+) -> Tensor:
+    """Batch normalisation over tracked running statistics, as one tape record."""
+    return _apply(
+        "batch_norm_eval", inputs, gamma, beta,
+        running_mean=running_mean, running_var=running_var, epsilon=epsilon,
+    )
 
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:

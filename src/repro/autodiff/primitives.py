@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend.policy import default_dtype
 from repro.backend.registry import register_op
 from repro.exceptions import ShapeError
 
@@ -108,7 +109,10 @@ def _matmul_forward(ctx, a, b):
 
 def _matmul_vjp(ctx, grad):
     a, b = ctx.saved
-    need_a, need_b = ctx.needs_input_grad
+    return _matmul_grads(a, b, grad, *ctx.needs_input_grad)
+
+
+def _matmul_grads(a, b, grad, need_a, need_b):
     if a.ndim == 2 and b.ndim == 2:
         return (
             grad @ b.T if need_a else None,
@@ -388,3 +392,124 @@ def _stack_vjp(ctx, grad):
 
 
 register_op("stack", _stack_forward, _stack_vjp, doc="stacking along a new axis")
+
+# --------------------------------------------------------------------------- #
+# fused backbone layers
+# --------------------------------------------------------------------------- #
+#
+# One tape record per layer instead of one per primitive.  Each forward repeats
+# the numpy calls, constants and dtypes of the primitive composition it
+# replaces, and each vjp replays that composition's reverse pass node by node:
+# the same expressions, the same per-node dtype casts ``Tensor._accumulate``
+# applies, and the same accumulation order where a node receives several
+# cotangents.  Results are therefore bit-identical to the composition's.  The
+# input cotangent is handed over as one sum, which matches the composition
+# whenever the layer's input has no other consumer (as in ``build_mlp``).
+
+
+def _cast(grad, dtype):
+    """``np.asarray(grad, dtype=dtype)``, the cast ``Tensor._accumulate`` applies."""
+    return grad if grad.dtype == dtype else grad.astype(dtype)
+
+
+def _linear_forward(ctx, x, weight, bias=None):
+    product = x @ weight
+    ctx.save(x, weight, product.dtype)
+    return product if bias is None else product + bias
+
+
+def _linear_vjp(ctx, grad):
+    x, weight, product_dtype = ctx.saved
+    need_x, need_weight = ctx.needs_input_grad[:2]
+    grad_x, grad_weight = _matmul_grads(
+        x, weight, _cast(grad, product_dtype), need_x, need_weight
+    )
+    return grad_x, grad_weight, grad
+
+
+register_op(
+    "linear", _linear_forward, _linear_vjp,
+    doc="fully connected layer x @ weight (+ bias)",
+)
+
+
+def _batch_norm_train_forward(ctx, x, gamma, beta, *, epsilon, statistics):
+    dtype = default_dtype()
+    inv_count = np.asarray(1.0 / x.shape[0], dtype=dtype)
+    total = x.sum(axis=0, keepdims=True)
+    mean = total * inv_count
+    centred = x - mean
+    squared = centred * centred
+    squares = squared.sum(axis=0, keepdims=True)
+    variance = squares * inv_count
+    shifted = variance + np.asarray(epsilon, dtype=dtype)
+    std = np.sqrt(shifted)
+    normalised = centred / std
+    scaled = normalised * gamma
+    statistics.extend((mean, variance))
+    dtypes = (scaled.dtype, normalised.dtype, std.dtype, shifted.dtype, variance.dtype,
+              squares.dtype, centred.dtype, mean.dtype, total.dtype, x.dtype)
+    ctx.save(centred, std, normalised, gamma, inv_count, dtypes)
+    return scaled + beta
+
+
+def _batch_norm_train_vjp(ctx, grad):
+    centred, std, normalised, gamma, inv_count, dtypes = ctx.saved
+    (scaled_t, normalised_t, std_t, shifted_t, variance_t,
+     squares_t, centred_t, mean_t, total_t, x_t) = dtypes
+    need_x, need_gamma = ctx.needs_input_grad[:2]
+    grad_scaled = _cast(grad, scaled_t)
+    grad_gamma = grad_scaled * normalised if need_gamma else None
+    grad_x = None
+    if need_x:
+        grad_normalised = _cast(grad_scaled * gamma, normalised_t)
+        grad_centred = _cast(grad_normalised / std, centred_t)
+        grad_std = _cast(-grad_normalised * centred / (std**2), std_t).sum(axis=(0,), keepdims=True)
+        grad_shifted = _cast(grad_std * 0.5 / np.maximum(std, 1e-300), shifted_t)
+        grad_squares = _cast(_cast(grad_shifted, variance_t) * inv_count, squares_t)
+        # mul(centred, centred) hands centred two equal cotangents, after div's.
+        square_term = _cast(grad_squares * centred, centred_t)
+        grad_centred = grad_centred + square_term + square_term
+        grad_mean = _cast(-grad_centred, mean_t).sum(axis=(0,), keepdims=True)
+        grad_total = _cast(grad_mean * inv_count, total_t)
+        grad_x = _cast(grad_centred, x_t) + _cast(grad_total, x_t)
+    return grad_x, grad_gamma, grad
+
+
+register_op(
+    "batch_norm_train", _batch_norm_train_forward, _batch_norm_train_vjp,
+    doc="batch normalisation over batch statistics; appends (mean, variance) "
+        "to the `statistics` list",
+)
+
+
+def _batch_norm_eval_forward(ctx, x, gamma, beta, *, running_mean, running_var, epsilon):
+    dtype = default_dtype()
+    mean = np.asarray(running_mean.reshape(1, -1), dtype=dtype)
+    variance = np.asarray(running_var.reshape(1, -1), dtype=dtype)
+    centred = x - mean
+    std = np.sqrt(variance + np.asarray(epsilon, dtype=dtype))
+    normalised = centred / std
+    centred_t = centred.dtype
+    del centred  # free it before the next full-size result, as the composition did
+    scaled = normalised * gamma
+    ctx.save(std, normalised, gamma, (scaled.dtype, normalised.dtype, centred_t, x.dtype))
+    return scaled + beta
+
+
+def _batch_norm_eval_vjp(ctx, grad):
+    std, normalised, gamma, (scaled_t, normalised_t, centred_t, x_t) = ctx.saved
+    need_x, need_gamma = ctx.needs_input_grad[:2]
+    grad_scaled = _cast(grad, scaled_t)
+    grad_gamma = grad_scaled * normalised if need_gamma else None
+    grad_x = None
+    if need_x:
+        grad_normalised = _cast(grad_scaled * gamma, normalised_t)
+        grad_x = _cast(_cast(grad_normalised / std, centred_t), x_t)
+    return grad_x, grad_gamma, grad
+
+
+register_op(
+    "batch_norm_eval", _batch_norm_eval_forward, _batch_norm_eval_vjp,
+    doc="batch normalisation over tracked running statistics",
+)

@@ -176,17 +176,30 @@ class Tensor:
         rather than the leaf policy) and ``op`` names the tape record.
         """
         parents = tuple(parents)
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        data = np.asarray(data)
-        out = Tensor(data, requires_grad=requires, dtype=data.dtype)
+        requires = _GRAD_ENABLED and any([p.requires_grad for p in parents])
+        if type(data) is not np.ndarray:
+            data = np.asarray(data)
+        # The payload is already an array of the computed dtype: fill the
+        # slots directly rather than converting it again in ``__init__``.
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out.requires_grad = requires
+        out.grad = None
+        out.name = None
         out.op = op
         if requires:
             out._parents = parents
             out._backward = backward
+        else:
+            out._parents = ()
+            out._backward = None
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        data = self.data
+        grad = np.asarray(grad, dtype=data.dtype)
+        if grad.shape != data.shape:
+            grad = _unbroadcast(grad, data.shape)
         if self.grad is None:
             self.grad = grad.copy()
         else:

@@ -44,11 +44,16 @@ class OpContext:
 
     __slots__ = ("op_name", "needs_input_grad", "saved", "kwargs")
 
-    def __init__(self, op_name: str) -> None:
+    def __init__(
+        self,
+        op_name: str,
+        needs_input_grad: Tuple[bool, ...] = (),
+        kwargs: Optional[Dict[str, Any]] = None,
+    ) -> None:
         self.op_name = op_name
-        self.needs_input_grad: Tuple[bool, ...] = ()
+        self.needs_input_grad = needs_input_grad
         self.saved: Tuple[Any, ...] = ()
-        self.kwargs: Dict[str, Any] = {}
+        self.kwargs: Dict[str, Any] = {} if kwargs is None else kwargs
 
     def save(self, *values: Any) -> None:
         """Stash values needed by the backward pass."""
@@ -109,22 +114,19 @@ def apply(name: str, *inputs, **kwargs):
     Keyword arguments are forwarded to the op's ``forward`` and kept on the
     context for the ``vjp``.
     """
-    spec = get_op(name)
+    spec = _REGISTRY.get(name)
+    if spec is None:
+        spec = get_op(name)  # raises KeyError naming the known ops
     tensor_cls = _TENSOR_CLS
     if tensor_cls is None:  # pragma: no cover - tensor module imports first
         from repro.autodiff.tensor import Tensor as tensor_cls  # noqa: N813
 
-    tensors = tuple(
-        x if isinstance(x, tensor_cls) else tensor_cls(x) for x in inputs
-    )
-    ctx = OpContext(name)
-    ctx.needs_input_grad = tuple(t.requires_grad for t in tensors)
-    ctx.kwargs = kwargs
-    data = spec.forward(ctx, *(t.data for t in tensors), **kwargs)
+    tensors = tuple([x if isinstance(x, tensor_cls) else tensor_cls(x) for x in inputs])
+    ctx = OpContext(name, tuple([t.requires_grad for t in tensors]), kwargs)
+    data = spec.forward(ctx, *[t.data for t in tensors], **kwargs)
 
     def backward(grad: np.ndarray) -> None:
-        cotangents = spec.vjp(ctx, grad)
-        for tensor, cotangent in zip(tensors, cotangents):
+        for tensor, cotangent in zip(tensors, spec.vjp(ctx, grad)):
             if cotangent is not None and tensor.requires_grad:
                 tensor._accumulate(cotangent)
 

@@ -12,7 +12,7 @@ available for pre-training and ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +85,17 @@ class PairSampler:
         self.strategy = strategy
         self.max_pairs = int(max_pairs)
         self._rng = resolve_rng(rng)
+        self._triu: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def _all_pairs(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``np.triu_indices(count, k=1)``, built once per batch size (read-only)."""
+        pair = self._triu.get(count)
+        if pair is None:
+            left, right = np.triu_indices(count, k=1)
+            left.setflags(write=False)
+            right.setflags(write=False)
+            pair = self._triu[count] = (left, right)
+        return pair
 
     # ------------------------------------------------------------------ #
     def sample(
@@ -99,7 +110,7 @@ class PairSampler:
             raise DataError("at least two samples are required to build pairs")
         if self.strategy == "balanced":
             return self._balanced(labels)
-        left, right = np.triu_indices(count, k=1)
+        left, right = self._all_pairs(count)
         if self.strategy == "new_centred":
             if not new_classes:
                 raise DataError("new_centred pair sampling requires the set of new classes")
@@ -111,7 +122,7 @@ class PairSampler:
             left, right = left[involves_new], right[involves_new]
             if left.size == 0:
                 # Fall back to all pairs (e.g. a batch containing only exemplars).
-                left, right = np.triu_indices(count, k=1)
+                left, right = self._all_pairs(count)
         if left.size > self.max_pairs:
             chosen = self._rng.choice(left.size, size=self.max_pairs, replace=False)
             left, right = left[chosen], right[chosen]
@@ -120,8 +131,7 @@ class PairSampler:
 
     # ------------------------------------------------------------------ #
     def _balanced(self, labels: np.ndarray) -> PairBatch:
-        count = labels.shape[0]
-        left, right = np.triu_indices(count, k=1)
+        left, right = self._all_pairs(labels.shape[0])
         same = labels[left] == labels[right]
         positive = np.flatnonzero(same)
         negative = np.flatnonzero(~same)

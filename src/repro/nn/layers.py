@@ -6,6 +6,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor
 from repro.exceptions import ShapeError
 from repro.nn.init import he_uniform, zeros_init
@@ -49,10 +50,7 @@ class Linear(Module):
             raise ShapeError(
                 f"Linear expected input with {self.in_features} features, got {inputs.shape}"
             )
-        output = inputs @ self.weight
-        if self.bias is not None:
-            output = output + self.bias
-        return output
+        return ops.linear(inputs, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"
@@ -145,16 +143,14 @@ class BatchNorm1d(Module):
                 f"BatchNorm1d expected (batch, {self.num_features}) input, got {inputs.shape}"
             )
         if self.training and inputs.shape[0] > 1:
-            mean = inputs.mean(axis=0, keepdims=True)
-            centred = inputs - mean
-            variance = (centred * centred).mean(axis=0, keepdims=True)
-            normalised = centred / (variance + self.epsilon).sqrt()
-            self._update_running(mean.data.reshape(-1), variance.data.reshape(-1), inputs.shape[0])
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1))
-            variance = Tensor(self.running_var.reshape(1, -1))
-            normalised = (inputs - mean) / (variance + self.epsilon).sqrt()
-        return normalised * self.gamma + self.beta
+            output, mean, variance = ops.batch_norm_train(
+                inputs, self.gamma, self.beta, self.epsilon
+            )
+            self._update_running(mean.reshape(-1), variance.reshape(-1), inputs.shape[0])
+            return output
+        return ops.batch_norm_eval(
+            inputs, self.gamma, self.beta, self.running_mean, self.running_var, self.epsilon
+        )
 
     def _update_running(self, batch_mean: np.ndarray, batch_var: np.ndarray, batch_size: int) -> None:
         momentum = self.momentum

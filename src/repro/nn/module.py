@@ -12,10 +12,16 @@ from repro.exceptions import SerializationError
 
 
 class Parameter(Tensor):
-    """A trainable tensor: always requires gradient."""
+    """A trainable tensor: always requires gradient.
+
+    That holds even when it is built under :func:`~repro.autodiff.no_grad`,
+    which only stops graph recording; a parameter created there must still
+    train.
+    """
 
     def __init__(self, data, name: Optional[str] = None) -> None:
-        super().__init__(data, requires_grad=True, name=name)
+        super().__init__(data, name=name)
+        self.requires_grad = True
 
 
 class Module:

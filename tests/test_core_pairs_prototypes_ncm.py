@@ -58,6 +58,30 @@ class TestPairSampler:
         assert pairs.n_pairs > 0
         assert pairs.n_negative == 0
 
+    @pytest.mark.parametrize("strategy", ["all", "new_centred", "balanced"])
+    def test_cached_pair_indices_leave_batches_unchanged(self, strategy):
+        rng = np.random.default_rng(3)
+        batches = [rng.integers(0, 3, size=size) for size in (16, 16, 9, 16, 2, 9)]
+        cached = PairSampler(strategy=strategy, max_pairs=20, rng=7)
+        fresh = PairSampler(strategy=strategy, max_pairs=20, rng=7)
+        for labels in batches:
+            fresh._triu.clear()
+            expected = fresh.sample(labels, new_classes={2})
+            pairs = cached.sample(labels, new_classes={2})
+            assert np.array_equal(pairs.left, expected.left)
+            assert np.array_equal(pairs.right, expected.right)
+            assert np.array_equal(pairs.same_class, expected.same_class)
+        assert sorted(cached._triu) == [2, 9, 16]
+
+    def test_cached_pair_indices_are_shared_and_read_only(self):
+        sampler = PairSampler(strategy="all", rng=0)
+        left, right = sampler._all_pairs(5)
+        assert sampler._all_pairs(5)[0] is left
+        expected_left, expected_right = np.triu_indices(5, k=1)
+        assert np.array_equal(left, expected_left)
+        assert np.array_equal(right, expected_right)
+        assert not left.flags.writeable and not right.flags.writeable
+
     def test_requires_two_samples(self):
         with pytest.raises(DataError):
             PairSampler().sample(np.array([0]))

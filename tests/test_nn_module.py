@@ -44,6 +44,17 @@ class TestParameterRegistration:
         net = TinyNet()
         assert len(list(net.modules())) == 3  # net + two Linear layers
 
+    def test_parameter_built_under_no_grad_still_requires_grad(self):
+        from repro.autodiff.tensor import no_grad
+
+        with no_grad():
+            layer = Linear(3, 2)
+            assert Tensor(np.ones(2), requires_grad=True).requires_grad is False
+        assert layer.weight.requires_grad is True
+        assert layer.bias.requires_grad is True
+        (layer(Tensor(np.ones((4, 3)))).sum()).backward()
+        assert layer.weight.grad is not None
+
 
 class TestTrainEvalAndGrads:
     def test_train_eval_propagates(self):
