@@ -1,15 +1,17 @@
 """Benchmarks of the fleet serving subsystem.
 
 Three gates, all on a serving-only learner (no gradient training, so the
-benchmark isolates the fleet layer itself):
+benchmark isolates the fleet layer itself).  Serving goes through the live
+path, ``serve(fleet, routing="hash", seed=7)`` drained tick by tick:
 
-1. **Throughput scaling** — the same Zipf workload routed through an 8-device
-   fleet and a 1-device fleet; aggregate simulated throughput (devices drain
+1. **Throughput scaling** — the same workload served by an 8-device fleet
+   and a 1-device fleet; aggregate simulated throughput (devices drain
    their queues in parallel) must be ≥ 4× the single device.
-2. **Routing overhead** — everything the router adds on top of engine compute
-   (sharding, grouping, stats) must stay bounded per request, measured
-   against a bare :class:`~repro.edge.inference.InferenceEngine` loop over
-   the same per-tick batches.
+2. **Serving overhead** — everything the client adds on top of engine
+   compute (sharding, queueing, futures, stats) must stay bounded per
+   request, measured against a bare
+   :class:`~repro.edge.inference.InferenceEngine` loop over the same
+   per-tick batches.
 3. **Checkpoint round-trip** — a device checkpointed, evicted to disk and
    restored on fresh hardware must reproduce the original device's
    predictions *exactly*.
@@ -25,6 +27,8 @@ import time
 
 import numpy as np
 
+from reference_drain import time_client_drain
+
 from repro.backend import precision
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
@@ -34,10 +38,10 @@ from repro.edge.transfer import package_for_edge
 from repro.fleet import (
     CheckpointStore,
     FleetCoordinator,
-    Router,
     TrafficGenerator,
     WorkloadSpec,
 )
+from repro.serving import serve
 
 #: Homogeneous simulation node: generous budgets, reference-speed compute.
 SIM_NODE = DeviceProfile(
@@ -95,11 +99,12 @@ def test_fleet_throughput_scales(report):
         def routed_throughput(n_devices: int, pattern: str) -> float:
             fleet = build_fleet(package, n_devices)
             traffic = TrafficGenerator(pool, make_workload(pattern), seed=7)
-            router = Router(fleet.devices, seed=7)
+            client = serve(fleet, routing="hash", seed=7)
             # Warm every engine cache so the measurement is steady-state.
             for device in fleet.devices:
                 device.infer(pool[:8])
-            return router.route(traffic.ticks()).aggregate_throughput
+            time_client_drain(client, traffic.ticks())
+            return client.report().aggregate_throughput
 
         single = routed_throughput(1, "uniform")
         fleet8 = routed_throughput(8, "uniform")
@@ -118,8 +123,8 @@ def test_fleet_throughput_scales(report):
     assert scaling >= 4.0
 
 
-def test_router_overhead_bounded(report):
-    """Router bookkeeping per request stays small vs a bare engine loop."""
+def test_client_overhead_bounded(report):
+    """Client bookkeeping per request stays small vs a bare engine loop."""
     with precision("edge"):
         package = package_for_edge(make_serving_learner())
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES))
@@ -129,12 +134,9 @@ def test_router_overhead_bounded(report):
         ticks = list(traffic.ticks())
         device.infer(pool[:8])  # warm the prototype cache
 
-        router = Router(fleet.devices, seed=7)
-        start = time.perf_counter()
-        for requests in ticks:
-            router.dispatch_tick(requests)
-        routed_wall = time.perf_counter() - start
-        stats = router.report().per_device[device.device_id]
+        client = serve(fleet, routing="hash", seed=7)
+        routed_wall, engine_wall = time_client_drain(client, ticks)
+        n_requests = client.report().total_requests
 
         # Bare engine loop over the identical per-tick batches.
         batches = [
@@ -147,19 +149,19 @@ def test_router_overhead_bounded(report):
             engine.predict(batch)
         bare_wall = time.perf_counter() - start
 
-    n_requests = stats.requests
-    bookkeeping = max(routed_wall - stats.wall_seconds, 0.0)
+    bookkeeping = max(routed_wall - engine_wall, 0.0)
     overhead_us = bookkeeping / n_requests * 1e6
     ratio = routed_wall / bare_wall
     report(
         "bench_fleet_router_overhead",
-        f"router overhead over {n_requests} requests (single device)\n"
+        f"serving-client overhead over {n_requests} requests (single device, "
+        "hash routing, drained per tick)\n"
         f"  routed wall:                 {routed_wall * 1e3:10.2f} ms\n"
         f"  bare InferenceEngine loop:   {bare_wall * 1e3:10.2f} ms\n"
         f"  routed / bare ratio:         {ratio:10.2f}x\n"
         f"  bookkeeping per request:     {overhead_us:10.1f} us",
     )
-    assert overhead_us < 1000.0  # < 1 ms of routing bookkeeping per request
+    assert overhead_us < 1000.0  # < 1 ms of serving bookkeeping per request
     assert ratio < 3.0
 
 
@@ -201,6 +203,6 @@ if __name__ == "__main__":
         return name
 
     test_fleet_throughput_scales(_report)
-    test_router_overhead_bounded(_report)
+    test_client_overhead_bounded(_report)
     test_checkpoint_roundtrip_exact(_report)
     print("\nall fleet benchmarks passed")

@@ -4,13 +4,12 @@ Three gates, all on a serving-only learner (no gradient training, so the
 measurements isolate batch execution itself):
 
 1. **Serial bit-exactness** — the scheduler's default ``SerialExecutor``
-   must reproduce the pre-refactor serving path exactly: identical class
-   decisions and identical served counters as the legacy ``Router`` tick
-   drain on the same stream.  The executor seam must be a pure mechanism
-   change.
+   must reproduce the frozen reference tick drain (``reference_drain.py``)
+   exactly: identical class decisions and identical served counters on the
+   same stream.  The executor seam must be a pure mechanism change.
 2. **Scheduler overhead** — the per-request bookkeeping of the serial
-   executor path must stay at or below the legacy router's (the same gate
-   ``benchmarks/bench_serving.py`` enforces, re-checked here so this
+   executor path must stay at or below the reference drain's (the same
+   gate ``benchmarks/bench_serving.py`` enforces, re-checked here so this
    benchmark is self-contained).
 3. **Real wall-clock speedup** — a compute-bound fleet workload drained
    through the ``ProcessExecutor`` must beat the ``SerialExecutor`` on
@@ -50,7 +49,13 @@ from repro.core.embedding import EmbeddingNetwork
 from repro.core.pilote import PILOTE
 from repro.edge.device import DeviceProfile
 from repro.edge.transfer import package_for_edge
-from repro.fleet import FleetCoordinator, Router, TrafficGenerator, WorkloadSpec
+from reference_drain import (
+    ReferenceDrain,
+    bookkeeping_us,
+    time_client_drain,
+    time_reference_drain,
+)
+from repro.fleet import FleetCoordinator, TrafficGenerator, WorkloadSpec
 
 #: Worker-pool size under test (the acceptance target is 4; CI pins 2).
 N_WORKERS = int(os.environ.get("BENCH_WORKERS", "4"))
@@ -118,8 +123,8 @@ def _drain_stream(client, ticks):
     return predictions, wall
 
 
-def test_serial_executor_bit_exact_with_legacy_router(report):
-    """The default executor reproduces the pre-refactor path exactly."""
+def test_serial_executor_bit_exact_with_reference_drain(report):
+    """The default executor reproduces the reference tick drain exactly."""
     from repro.serving import serve
 
     with precision("edge"):
@@ -127,34 +132,35 @@ def test_serial_executor_bit_exact_with_legacy_router(report):
         pool = np.random.default_rng(3).normal(size=(4096, N_FEATURES)).astype(np.float32)
         ticks = _compute_bound_ticks(pool, n_ticks=3, per_tick=128)
 
-        router_fleet = build_fleet(package, N_WORKERS)
-        router = Router(router_fleet.devices, seed=7)
-        router_predictions = []
+        reference_fleet = build_fleet(package, N_WORKERS)
+        drain = ReferenceDrain(reference_fleet.devices, seed=7)
+        reference_predictions = []
         for requests in ticks:
-            router_predictions.extend(router.dispatch_tick(requests))
-        router_predictions = np.concatenate(router_predictions)
-        router_report = router.report()
+            reference_predictions.extend(drain.dispatch_tick(requests))
+        reference_predictions = np.concatenate(reference_predictions)
+        reference_report = drain.report()
 
         scheduler_fleet = build_fleet(package, N_WORKERS)
-        # The serving client reuses the router's sharding hash when seeded
-        # alike, so the per-device placement is identical.
+        # Hash routing draws the reference drain's salt when seeded alike,
+        # so the per-device placement is identical.
         with serve(scheduler_fleet, routing="hash", seed=7, executor="serial") as client:
             client_predictions, _ = _drain_stream(client, ticks)
             client_report = client.report()
 
-    exact = bool(np.array_equal(router_predictions, client_predictions))
+    exact = bool(np.array_equal(reference_predictions, client_predictions))
     same_counters = (
-        client_report.total_requests == router_report.total_requests
-        and client_report.total_windows == router_report.total_windows
+        client_report.total_requests == reference_report.total_requests
+        and client_report.total_windows == reference_report.total_windows
         and all(
-            client_report.per_device[i].requests == router_report.per_device[i].requests
-            for i in router_report.per_device
+            client_report.per_device[i].requests
+            == reference_report.per_device[i].requests
+            for i in reference_report.per_device
         )
     )
     report(
         "bench_workers_serial_exact",
-        "serial executor vs legacy Router tick drain (identical stream)\n"
-        f"  requests:                 {router_report.total_requests}\n"
+        "serial executor vs reference tick drain (identical stream)\n"
+        f"  requests:                 {reference_report.total_requests}\n"
         f"  predictions bit-exact:    {exact}\n"
         f"  served counters identical: {same_counters}\n"
         f"  report clock:             {client_report.clock}",
@@ -163,8 +169,8 @@ def test_serial_executor_bit_exact_with_legacy_router(report):
     assert client_report.clock == "simulated"
 
 
-def test_scheduler_overhead_at_most_router(report):
-    """Per-request bookkeeping through the executor seam ≤ legacy router."""
+def test_scheduler_overhead_at_most_reference_drain(report):
+    """Per-request bookkeeping through the executor seam ≤ reference drain."""
     from repro.serving import serve
 
     with precision("edge"):
@@ -177,43 +183,24 @@ def test_scheduler_overhead_at_most_router(report):
         ticks = list(TrafficGenerator(pool, spec, seed=7).ticks())
         n_requests = sum(len(t) for t in ticks)
 
-        def measure(run):
-            """Best-of-3 per-request bookkeeping (µs) outside engine compute."""
-            best = None
-            for _ in range(3):
-                wall, engine_wall = run()
-                bookkeeping = max(wall - engine_wall, 0.0) / n_requests * 1e6
-                best = bookkeeping if best is None else min(best, bookkeeping)
-            return best
-
-        def run_router():
-            router = Router(fleet.devices, seed=7)
-            start = time.perf_counter()
-            for requests in ticks:
-                router.dispatch_tick(requests)
-            wall = time.perf_counter() - start
-            return wall, router.report().engine_wall_seconds
-
-        def run_scheduler():
-            client = serve(fleet, routing="hash", seed=7, executor="serial")
-            start = time.perf_counter()
-            for requests in ticks:
-                client.submit_many(requests)
-                client.drain()
-            wall = time.perf_counter() - start
-            return wall, client.report().engine_wall_seconds
-
-        router_us = measure(run_router)
-        scheduler_us = measure(run_scheduler)
+        reference_us = bookkeeping_us(
+            lambda: time_reference_drain(fleet.devices, ticks), n_requests
+        )
+        scheduler_us = bookkeeping_us(
+            lambda: time_client_drain(
+                serve(fleet, routing="hash", seed=7, executor="serial"), ticks
+            ),
+            n_requests,
+        )
 
     report(
         "bench_workers_overhead",
         f"scheduler bookkeeping per request through the executor seam "
         f"({n_requests} requests, best of 3)\n"
-        f"  legacy Router tick drain:        {router_us:8.2f} us/request\n"
+        f"  reference tick drain:            {reference_us:8.2f} us/request\n"
         f"  scheduler w/ SerialExecutor:     {scheduler_us:8.2f} us/request",
     )
-    assert scheduler_us <= router_us
+    assert scheduler_us <= reference_us
 
 
 def test_process_executor_wall_clock_speedup(report):
@@ -280,7 +267,7 @@ if __name__ == "__main__":
         print(text)
         return name
 
-    test_serial_executor_bit_exact_with_legacy_router(_report)
-    test_scheduler_overhead_at_most_router(_report)
+    test_serial_executor_bit_exact_with_reference_drain(_report)
+    test_scheduler_overhead_at_most_reference_drain(_report)
     test_process_executor_wall_clock_speedup(_report)
     print("\nall worker-executor benchmarks passed")

@@ -36,7 +36,6 @@ from repro.fleet import (
     CheckpointStore,
     FleetCoordinator,
     HierarchicalFleetCoordinator,
-    Router,
     TrafficGenerator,
     WorkloadSpec,
     staggered_schedule,
@@ -77,16 +76,18 @@ def main() -> None:
         )
         fleet.schedule_increment(device_id, tick, share)
 
-    # 4. Open-loop Zipf traffic sharded across the fleet by user id.
+    # 4. Open-loop Zipf traffic sharded across the fleet by user id, drained
+    #    tick by tick so each increment lands between ticks.
     workload = WorkloadSpec(pattern="zipf", n_users=300, requests_per_tick=64, n_ticks=10)
     traffic = TrafficGenerator(scenario.test, workload, seed=SEED)
-    router = Router(fleet.devices, seed=SEED)
-    for tick, requests in enumerate(traffic.ticks()):
-        done = fleet.run_due_increments(tick)
-        for device_id in done:
-            print(f"  tick {tick}: device {device_id} integrated 'Run'")
-        router.dispatch_tick(requests)
-    report = router.report()
+    with serve(fleet, routing="hash", seed=SEED) as client:
+        for tick, requests in enumerate(traffic.ticks()):
+            done = fleet.run_due_increments(tick)
+            for device_id in done:
+                print(f"  tick {tick}: device {device_id} integrated 'Run'")
+            client.submit_many(requests)
+            client.drain()
+        report = client.report()
     print(f"\nrouted {report.total_requests} requests "
           f"({report.total_windows} windows) across {len(report.per_device)} devices")
     print(f"aggregate simulated throughput: {report.aggregate_throughput:.0f} windows/s")

@@ -80,9 +80,7 @@ every layer speaks the same typed protocol::
 Fleet clients take a routing policy (``routing="hash" | "least-loaded" |
 "p2c"``), and ``FleetCoordinator.deploy(package, rollout=...)`` stages
 releases (all-at-once, canary fractions, A/B cohorts by user hash) with
-per-cohort accuracy/latency reports.  The legacy entry points
-(``MagnetoPlatform.edge_predict``, ``EdgeDevice.infer``, ``Router.submit``)
-are deprecation shims over this client.  ``examples/quickstart.py`` and
+per-cohort accuracy/latency reports.  ``examples/quickstart.py`` and
 ``examples/serving_api.py`` walk through the API; ``pilote serve`` runs the
 three-layer demonstration.
 """
@@ -95,7 +93,6 @@ from repro.edge import InferenceEngine, MagnetoPlatform
 from repro.fleet import (
     CheckpointStore,
     FleetCoordinator,
-    Router,
     TrafficGenerator,
     WorkloadSpec,
 )
@@ -123,7 +120,6 @@ __all__ = [
     "MagnetoPlatform",
     "InferenceEngine",
     "FleetCoordinator",
-    "Router",
     "TrafficGenerator",
     "WorkloadSpec",
     "CheckpointStore",

@@ -110,7 +110,7 @@ class MagnetoPlatform:
         return self.edge_learner.predict(features)
 
     def serving_client(self, **kwargs) -> "ServingClient":
-        """The platform's unified serving client (cached without options).
+        """Step 4: the platform's on-device serving client (cached without options).
 
         Equivalent to ``repro.serving.serve(platform)``; keyword arguments
         (``routing``, ``seed``) are forwarded and bypass the cache.
@@ -122,29 +122,6 @@ class MagnetoPlatform:
         if self._serving_client is None:
             self._serving_client = serve(self)
         return self._serving_client
-
-    def edge_predict(self, features: np.ndarray) -> np.ndarray:
-        """Step 4: on-device batched inference (deprecated entry point).
-
-        .. deprecated::
-            Use ``platform.serving_client().predict(features)`` — or
-            ``repro.serving.serve(platform)`` for deadlines, futures and
-            per-request metadata.  This shim delegates to that client, so
-            output and device accounting are identical to the new path.
-        """
-        import warnings
-
-        warnings.warn(
-            "MagnetoPlatform.edge_predict is deprecated; use "
-            "repro.serving.serve(platform).predict(features) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if np.asarray(features).shape[0] == 0:
-            # The protocol rejects empty requests; the legacy path answered
-            # them with an empty prediction array — preserve that here.
-            return self._serve_edge(features)
-        return self.serving_client().predict(features)
 
     # ------------------------------------------------------------------ #
     def to_fleet(self, n_devices: int, profiles=None) -> "FleetCoordinator":

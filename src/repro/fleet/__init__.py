@@ -1,4 +1,4 @@
-"""Fleet serving: multi-device orchestration, routing, traffic, checkpoints.
+"""Fleet orchestration: multi-device provisioning, traffic, checkpoints.
 
 The paper ships one pre-trained model to one edge device; this package scales
 that architecture out to a *fleet* behind a single cloud broadcast:
@@ -7,10 +7,6 @@ that architecture out to a *fleet* behind a single cloud broadcast:
   :class:`~repro.edge.device.DeviceProfile`s, deploys one
   :class:`~repro.edge.transfer.TransferPackage` to all of them (each device
   gets an independent learner) and schedules staggered per-device increments;
-* :class:`Router` (alias :class:`LoadBalancer`) shards inference requests
-  across devices by user id, batches them through each device's
-  :class:`~repro.edge.inference.InferenceEngine`, and records per-device
-  throughput/latency/queue-depth statistics on a simulated parallel clock;
 * :class:`TrafficGenerator` produces deterministic open-loop workloads
   (uniform, bursty, Zipf-skewed user populations);
 * :class:`CheckpointStore` snapshots device state (full or delta archives),
@@ -26,15 +22,17 @@ Entry points: ``MagnetoPlatform.to_fleet(n)``, the ``pilote fleet-sim`` CLI
 subcommand, ``examples/fleet_simulation.py`` and
 ``benchmarks/bench_fleet.py``.
 
-Serving itself now goes through :mod:`repro.serving`: ``serve(fleet)``
-builds a futures-based client whose event-loop scheduler supersedes the
-router's synchronous per-tick drain, with pluggable routing policies and
-rollout staging on ``FleetCoordinator.deploy``.
+Serving goes through :mod:`repro.serving`: ``serve(fleet)`` builds a
+futures-based client whose event-loop scheduler shards requests across the
+devices (seeded user-id hashing by default, pluggable routing policies),
+batches them through each device's
+:class:`~repro.edge.inference.InferenceEngine` and reports per-device
+statistics (:class:`~repro.serving.RoutingReport`) on a simulated parallel
+clock; ``FleetCoordinator.deploy`` stages rollouts.
 """
 
 from repro.fleet.checkpoint import CheckpointStore, DeviceCheckpoint
 from repro.fleet.coordinator import (
-    Fleet,
     FleetAccuracyReport,
     FleetCoordinator,
     FleetDevice,
@@ -42,7 +40,6 @@ from repro.fleet.coordinator import (
     RegionCoordinator,
     TransferLedger,
 )
-from repro.fleet.router import DeviceStats, LoadBalancer, Router, RoutingReport
 from repro.fleet.simulation import FleetSimulationResult
 from repro.fleet.traffic import (
     InferenceRequest,
@@ -52,17 +49,12 @@ from repro.fleet.traffic import (
 )
 
 __all__ = [
-    "Fleet",
     "FleetCoordinator",
     "FleetDevice",
     "FleetAccuracyReport",
     "HierarchicalFleetCoordinator",
     "RegionCoordinator",
     "TransferLedger",
-    "Router",
-    "LoadBalancer",
-    "DeviceStats",
-    "RoutingReport",
     "TrafficGenerator",
     "WorkloadSpec",
     "InferenceRequest",

@@ -11,8 +11,8 @@ drift apart exactly as a real fleet does when new activities reach users at
 different times.
 
 Serving runs through each device's batched
-:class:`~repro.edge.inference.InferenceEngine`; request distribution is the
-router's job (:mod:`repro.fleet.router`).
+:class:`~repro.edge.inference.InferenceEngine`; ``repro.serving.serve(fleet)``
+distributes requests across the devices (:mod:`repro.serving`).
 
 At fleet sizes past a few thousand devices the flat coordinator's
 one-learner-per-device model stops scaling, so
@@ -134,8 +134,9 @@ class FleetDevice:
         with self.edge.precision():
             return self.edge.serve(windows)
 
-    #: The event-loop scheduler and legacy router both call ``infer`` on a
-    #: device-like target; for a fleet device it is simply :meth:`serve`.
+    #: The device protocol the scheduler and its executors call on every
+    #: lane (``LocalServingDevice`` adapts other targets to it); for a fleet
+    #: device it is simply :meth:`serve`.
     infer = serve
 
     def learn_new_activity(
@@ -412,7 +413,7 @@ class FleetCoordinator:
 
         ``dataset`` (optional) is evaluated on every *deployed* device's
         learner for per-cohort accuracy; ``serving`` (an optional
-        :class:`~repro.fleet.router.RoutingReport`, e.g.
+        :class:`~repro.serving.RoutingReport`, e.g.
         ``client.report()``) contributes per-cohort request counts and
         mean/p99 simulated latency.
         """
@@ -859,6 +860,3 @@ class HierarchicalFleetCoordinator(FleetCoordinator):
     def describe(self) -> List[Dict[str, object]]:
         return [region.describe() for region in self.regions]
 
-
-#: Short alias used in examples and docs.
-Fleet = FleetCoordinator

@@ -33,8 +33,8 @@ from repro.fleet.coordinator import (
     FleetCoordinator,
     HierarchicalFleetCoordinator,
 )
-from repro.fleet.router import RoutingReport
 from repro.fleet.traffic import TrafficGenerator, WorkloadSpec, staggered_schedule
+from repro.serving.report import RoutingReport
 from repro.utils.logging import get_logger
 from repro.utils.rng import resolve_rng, spawn_rngs
 

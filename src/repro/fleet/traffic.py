@@ -9,7 +9,7 @@ simulation runs can be replayed exactly.
 
 The generator is *open loop*: it emits what arrives per tick regardless of
 whether the fleet keeps up, which is what exposes queueing behaviour in the
-router's per-device stats.  Workloads can additionally carry seeded
+serving scheduler's per-device stats.  Workloads can additionally carry seeded
 per-request deadlines (``WorkloadSpec.deadline_seconds`` /
 ``deadline_multipliers`` / ``deadline_fraction``) to drive the serving
 scheduler's deadline machinery — admission control, queue expiry and
@@ -38,7 +38,7 @@ class InferenceRequest:
     Attributes
     ----------
     user_id:
-        Stable identity of the requesting user; the router shards on it.
+        Stable identity of the requesting user; hash routing shards on it.
     features:
         ``(n_windows, n_features)`` feature matrix for this request.
     arrival_seconds:
@@ -47,8 +47,7 @@ class InferenceRequest:
         Optional absolute simulated deadline, honoured by the event-loop
         scheduler exactly like :class:`~repro.serving.PredictRequest`'s
         (admission rejection / queue expiry / late-completion miss — see
-        :mod:`repro.serving.scheduler`).  The legacy tick-drain router
-        ignores it.
+        :mod:`repro.serving.scheduler`).
     """
 
     user_id: int

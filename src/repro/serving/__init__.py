@@ -2,7 +2,9 @@
 
 PILOTE is ultimately a *serving* story — incremental HAR models answering
 user traffic on extreme-edge hardware — and this package is its single
-front door:
+front door.  Every caller (CLI, fleet simulation, network server,
+benchmarks) serves through ``serve(...)`` → :class:`EventLoopScheduler` →
+executor; there is no second path:
 
 * **protocol** (:mod:`repro.serving.protocol`) — typed
   :class:`PredictRequest` / :class:`PredictResponse` with per-request
@@ -14,10 +16,9 @@ front door:
   same API;
 * **scheduler** (:mod:`repro.serving.scheduler`) — an event-loop
   :class:`EventLoopScheduler` over the fleet's simulated ``DeviceStats``
-  clock, superseding the legacy router's synchronous per-tick drain, with a
-  pluggable queue order (:data:`SCHEDULING_ORDERS`): ``"fifo"`` arrival
-  order or ``"edf"`` earliest-deadline-first, plus deadline admission
-  control and per-device SLO accounting
+  clock, with a pluggable queue order (:data:`SCHEDULING_ORDERS`):
+  ``"fifo"`` arrival order or ``"edf"`` earliest-deadline-first, plus
+  deadline admission control and per-device SLO accounting
   (``DeviceStats.deadline_misses``, ``RoutingReport.slo_attainment``);
 * **executor** (:mod:`repro.serving.executor`) — pluggable batch execution
   behind the scheduler (:data:`EXECUTORS`): :class:`SerialExecutor`
@@ -32,6 +33,10 @@ front door:
   Concurrent executors report *measured* wall-clock latency
   (``DeviceStats.clock == "wall"``) instead of the modeled simulated
   clock;
+* **report** (:mod:`repro.serving.report`) — the per-device
+  :class:`DeviceStats` rows and the fleet-level :class:`RoutingReport` the
+  scheduler produces, with the JSON round trip the network stats frame
+  ships;
 * **routing** (:mod:`repro.serving.routing`) — pluggable
   :class:`RoutingPolicy` implementations (seeded ``"hash"``,
   ``"least-loaded"``, power-of-two-choices ``"p2c"``), selectable per
@@ -42,13 +47,14 @@ front door:
   reports.
 
 ``benchmarks/bench_serving.py`` gates the scheduler's per-request overhead
-against the legacy router and the p99 latency win of ``least-loaded`` over
-``hash`` under Zipf-skewed traffic; ``benchmarks/bench_deadlines.py`` gates
-that EDF answers strictly more requests within deadline than FIFO on an
-overloaded Zipf workload at no extra per-request overhead;
+against a frozen reference tick drain (``benchmarks/reference_drain.py``)
+and the p99 latency win of ``least-loaded`` over ``hash`` under
+Zipf-skewed traffic; ``benchmarks/bench_deadlines.py`` gates that EDF
+answers strictly more requests within deadline than FIFO on an overloaded
+Zipf workload at no extra per-request overhead;
 ``benchmarks/bench_workers.py`` gates the serial executor's bit-exactness
-with the legacy path and the process executor's real wall-clock speedup on
-multi-core hardware.
+with the reference drain and the process executor's real wall-clock
+speedup on multi-core hardware.
 """
 
 from repro.exceptions import (
@@ -85,6 +91,7 @@ from repro.serving.protocol import (
     PredictRequest,
     PredictResponse,
 )
+from repro.serving.report import DeviceStats, RoutingReport
 from repro.serving.rollout import (
     ABRollout,
     ActiveRollout,
@@ -125,6 +132,8 @@ __all__ = [
     "Prediction",
     "PendingResult",
     "EventLoopScheduler",
+    "DeviceStats",
+    "RoutingReport",
     "RoutingPolicy",
     "HashRouting",
     "RegionalRouting",

@@ -46,9 +46,9 @@ from repro.fleet.coordinator import (
     FleetDevice,
     HierarchicalFleetCoordinator,
 )
-from repro.fleet.router import RoutingReport
 from repro.serving.executor import Executor
 from repro.serving.protocol import PendingResult, PredictRequest
+from repro.serving.report import RoutingReport
 from repro.serving.routing import RegionalRouting, RoutingPolicy
 from repro.serving.scheduler import EventLoopScheduler
 from repro.utils.rng import RandomState

@@ -20,10 +20,10 @@ as :class:`~repro.exceptions.DeadlineExceededError` come back through
 :meth:`PendingResult.exception` / :meth:`PendingResult.result` rather than
 escaping mid-drain.
 
-The legacy :class:`~repro.fleet.traffic.InferenceRequest` is accepted
-everywhere a :class:`PredictRequest` is (it carries the same ``user_id`` /
-``features`` / ``arrival_seconds`` core), so existing traffic generators feed
-the new API unchanged.
+The traffic generator's :class:`~repro.fleet.traffic.InferenceRequest` is
+accepted everywhere a :class:`PredictRequest` is (it carries the same
+``user_id`` / ``features`` / ``arrival_seconds`` core), so generated
+workloads feed the client unchanged.
 """
 
 from __future__ import annotations

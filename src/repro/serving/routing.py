@@ -30,7 +30,6 @@ from typing import Dict, Optional, Sequence, Type, Union
 import numpy as np
 
 from repro.exceptions import RoutingError
-from repro.utils.hashing import splitmix64
 
 __all__ = [
     "RoutingPolicy",
@@ -42,6 +41,28 @@ __all__ = [
     "make_routing_policy",
     "splitmix64",
 ]
+
+
+# 64-bit mixing constants (splitmix64 finaliser).
+_MIX1 = np.uint64(0xFF51AFD7ED558CCD)
+_MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
+_SHIFT = np.uint64(33)
+
+
+def splitmix64(values, salt: np.uint64) -> np.ndarray:
+    """Vectorised salted splitmix64 finaliser over an integer array.
+
+    Uniform over 64 bits, stable per value, and reproducible from the salt —
+    the properties user-id sharding needs.  Every hash-based policy here and
+    the rollout cohort split (:mod:`repro.serving.rollout`) hash with it.
+    """
+    v = np.atleast_1d(np.asarray(values)).astype(np.uint64) + salt
+    v ^= v >> _SHIFT
+    v *= _MIX1
+    v ^= v >> _SHIFT
+    v *= _MIX2
+    v ^= v >> _SHIFT
+    return v
 
 
 def _draw_salt(rng) -> np.uint64:

@@ -1,23 +1,23 @@
 """Event-loop request scheduler over the simulated ``DeviceStats`` clock.
 
-This replaces the legacy :class:`~repro.fleet.router.Router`'s synchronous
-per-tick drain: instead of routing and executing one tick at a time, requests
-are *submitted* (each immediately receives a
+Requests are *submitted* (each immediately receives a
 :class:`~repro.serving.protocol.PendingResult` future) and a heap-ordered
 event loop later drains the per-device queues in simulated-clock order.
+Draining after every tick's submissions serves each device's share of the
+tick in one engine call.
 
-Timing follows the fleet's established model: each per-device batch is timed
-with the wall clock, converted to device-seconds through the profile's
+Timing follows the fleet's model: each per-device batch is timed with the
+wall clock, converted to device-seconds through the profile's
 ``relative_compute``, and devices drain *in parallel* in simulated time.  The
-scheduler reuses the fleet's :class:`~repro.fleet.router.DeviceStats` /
-:class:`~repro.fleet.router.RoutingReport` types, and additionally records
-per-request latencies so reports can answer percentile (p99) questions.
+scheduler keeps one :class:`~repro.serving.report.DeviceStats` row per lane,
+including per-request latencies so reports can answer percentile (p99)
+questions, and assembles them into a
+:class:`~repro.serving.report.RoutingReport`.
 
 Queue order is a pluggable seam (``scheduling=``, one of
 :data:`SCHEDULING_ORDERS`):
 
-* ``"fifo"`` (default) — each lane serves its batches in arrival order, the
-  behaviour of the legacy tick drain;
+* ``"fifo"`` (default) — each lane serves its batches in arrival order;
 * ``"edf"`` — earliest-deadline-first: each lane serves the queued batch
   with the earliest deadline among those that have already arrived
   (deadline-less batches sort last and fall back to arrival order among
@@ -42,19 +42,19 @@ Deadline semantics, end to end:
   ``RoutingReport.deadline_attainment`` / ``slo_attainment`` aggregate the
   breakdown.
 
-Design notes for the hot path (the per-request overhead is gated against the
-legacy router in ``benchmarks/bench_serving.py`` and
-``benchmarks/bench_deadlines.py``):
+Design notes for the hot path (the per-request overhead is gated against a
+frozen reference tick drain, ``benchmarks/reference_drain.py``, in
+``benchmarks/bench_serving.py`` and ``benchmarks/bench_deadlines.py``):
 
 * assignment is vectorised per submitted batch (one hash over all user ids
   for the default policy), and requests are grouped into per-lane batches
   with numpy, not per-request branching;
 * requests sharing a device and an arrival time coalesce into one queue
-  entry served by a single engine call — the same batching the legacy
-  router performed per tick (under EDF, co-arriving requests additionally
-  split by deadline so the queue order can discriminate; discrete deadline
-  classes — see ``WorkloadSpec.deadline_multipliers`` — keep that split
-  coarse and the engine batches large);
+  entry served by a single engine call — one batch per device per tick
+  (under EDF, co-arriving requests additionally split by deadline so the
+  queue order can discriminate; discrete deadline classes — see
+  ``WorkloadSpec.deadline_multipliers`` — keep that split coarse and the
+  engine batches large);
 * completion state lives on the *batch*: futures are three-slot views
   ``(request, batch, index)``, so finishing a batch is O(1) in the number
   of requests, and per-request class-id slices materialise lazily on
@@ -90,9 +90,9 @@ from repro.exceptions import (
     RoutingError,
     ServingError,
 )
-from repro.fleet.router import DeviceStats, RoutingReport
 from repro.serving.executor import Executor, LaneResult, LaneTask, make_executor
 from repro.serving.protocol import PendingResult, PredictResponse
+from repro.serving.report import DeviceStats, RoutingReport
 from repro.serving.routing import RoutingPolicy, make_routing_policy
 from repro.utils.clock import perf_seconds
 from repro.utils.rng import RandomState, resolve_rng
@@ -104,9 +104,9 @@ __all__ = ["EventLoopScheduler", "SCHEDULING_ORDERS"]
 SCHEDULING_ORDERS = ("fifo", "edf")
 
 #: Most-recent per-request latencies kept per device for percentile views.
-#: Bounds long-lived clients (the legacy path kept no per-request history);
-#: a few MB per device at the cap.  Trimming waits until 2x the cap so the
-#: compaction cost amortises to O(1) per request.
+#: Bounds long-lived clients; a few MB per device at the cap.  Trimming
+#: waits until 2x the cap so the compaction cost amortises to O(1) per
+#: request.
 LATENCY_HISTORY_CAP = 100_000
 
 
@@ -215,7 +215,7 @@ def _queue_batch(queue: Deque[_Batch], arrival: float, scheduler) -> _Batch:
 
 
 class _FifoLane:
-    """Arrival-ordered lane queue — the legacy drain order (the default)."""
+    """Arrival-ordered lane queue (the default order)."""
 
     __slots__ = ("batches",)
 
@@ -739,9 +739,10 @@ class EventLoopScheduler:
 
         Requests assigned to the same device with the same arrival time are
         coalesced into one engine call at drain time, which is what keeps the
-        per-request overhead at the legacy router's level.  Requests whose
-        deadline is already unmeetable on their lane are rejected here (their
-        futures complete immediately with
+        per-request overhead at or below the reference tick drain's
+        (``benchmarks/reference_drain.py``).  Requests whose deadline is
+        already unmeetable on their lane are rejected here (their futures
+        complete immediately with
         :class:`~repro.exceptions.DeadlineExceededError`).
         """
         if not requests:
@@ -879,8 +880,8 @@ class EventLoopScheduler:
                         self._total_shed += 1
                         rejected += 1
                         continue
-            # FIFO keeps the legacy arrival-only coalescing; EDF separates
-            # co-arriving deadlines so the queue order can discriminate.
+            # FIFO coalesces on arrival time only; EDF separates co-arriving
+            # deadlines so the queue order can discriminate.
             groups.setdefault(deadline if self._edf else None, []).append(index)
             admitted += 1
         for deadline, indices in groups.items():

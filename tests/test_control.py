@@ -41,7 +41,6 @@ from repro.exceptions import (
     ServingError,
     WorkerDiedError,
 )
-from repro.fleet.router import DeviceStats, ROLLING_WINDOW, RoutingReport
 from repro.serving import (
     EventLoopScheduler,
     LocalServingDevice,
@@ -51,6 +50,7 @@ from repro.serving import (
     ThreadExecutor,
     serve,
 )
+from repro.serving.report import DeviceStats, ROLLING_WINDOW, RoutingReport
 
 
 def _infer(seconds=0.001):
@@ -730,6 +730,29 @@ class TestRollingStats:
         restored = RoutingReport.from_dict(data)
         assert restored.total_shed == report.total_shed
         assert restored.total_cancelled == report.total_cancelled
+
+    @pytest.mark.parametrize(
+        "outcomes",
+        [
+            (),
+            (True, False, True, False),
+            tuple(index % 3 != 0 for index in range(ROLLING_WINDOW + 40)),
+        ],
+        ids=["no-deadlines", "misses", "full-window"],
+    )
+    def test_report_round_trip_keeps_rolling_window(self, outcomes):
+        """A round trip keeps each row's rolling window and its attainment."""
+        stats = DeviceStats(device_id=0, profile="test", deadline_requests=len(outcomes))
+        for hit in outcomes:
+            stats.note_deadline(hit)
+        idle = DeviceStats(device_id=1, profile="test")
+        report = RoutingReport(per_device={0: stats, 1: idle}, total_requests=len(outcomes))
+        data = report.to_dict()
+        row = data["per_device"]["0"]
+        assert row["rolling_window"] == min(len(outcomes), ROLLING_WINDOW)
+        assert row["rolling_deadline_attainment"] == stats.rolling_deadline_attainment
+        assert (row["rolling_deadline_attainment"] < 1.0) == (False in outcomes)
+        assert RoutingReport.from_dict(data).to_dict() == data
 
     def test_queue_depth_gauge_tracks_pending(self):
         client = _client(2)

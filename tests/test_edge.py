@@ -11,6 +11,7 @@ from repro.edge.magneto import MagnetoPlatform
 from repro.edge.profiler import EdgeProfiler, LatencyReport
 from repro.edge.transfer import exemplar_storage_bytes, package_for_edge
 from repro.exceptions import EdgeResourceError, NotFittedError
+from repro.serving import serve
 
 
 class TestEdgeDevice:
@@ -58,7 +59,9 @@ class TestEdgeDevice:
     def test_infer_without_engine_explains_attach(self):
         device = EdgeDevice()
         with pytest.raises(NotFittedError, match="attach_inference"):
-            device.infer(np.zeros((1, 4)))
+            device.serve(np.zeros((1, 4)))
+        with pytest.raises(NotFittedError, match="attach_inference"):
+            serve(device).predict(np.zeros((1, 4)))
 
 
 class TestTransferPackaging:
@@ -107,7 +110,7 @@ class TestMagnetoPlatform:
         package = platform.deploy_to_edge()
         assert platform.device.storage_used == pytest.approx(package.total_bytes)
         platform.edge_learn_new_activity(run_scenario.new_train, run_scenario.new_validation)
-        predictions = platform.edge_predict(run_scenario.test.features)
+        predictions = serve(platform).predict(run_scenario.test.features)
         assert predictions.shape[0] == run_scenario.test.n_samples
         assert int(Activity.RUN) in set(predictions.tolist())
         report = platform.storage_report()
@@ -120,7 +123,7 @@ class TestMagnetoPlatform:
         with pytest.raises(NotFittedError):
             platform.edge_learn_new_activity(run_scenario.new_train)
         with pytest.raises(NotFittedError):
-            platform.edge_predict(run_scenario.test.features)
+            serve(platform).predict(run_scenario.test.features)
 
 
 class TestProfiler:

@@ -14,19 +14,23 @@ from repro.exceptions import (
     DataError,
     EdgeResourceError,
     NotFittedError,
+    RoutingError,
     SerializationError,
+    ServingError,
 )
 from repro.experiments.common import ExperimentSettings
 from repro.fleet import (
     CheckpointStore,
     FleetCoordinator,
     InferenceRequest,
-    Router,
     TrafficGenerator,
     WorkloadSpec,
     staggered_schedule,
 )
 from repro.fleet import simulation as fleet_simulation
+from repro.serving import EventLoopScheduler, HashRouting, serve
+from repro.serving.routing import splitmix64
+from repro.utils.rng import resolve_rng
 
 
 @pytest.fixture(scope="module")
@@ -106,35 +110,65 @@ class TestTrafficGenerator:
             staggered_schedule(0)
 
 
+def hash_shard(n_lanes, users, seed):
+    """Lane of each user under ``HashRouting`` bound with ``seed``."""
+    policy = HashRouting()
+    policy.bind(n_lanes, resolve_rng(seed))
+    users = np.asarray(users, dtype=np.int64)
+    return policy.assign_batch([None] * users.size, users, scheduler=None)
+
+
+def served_lanes(fleet, users, seed, pool):
+    """Lane that ``serve(fleet, routing="hash")`` answers each user from."""
+    client = serve(fleet, routing="hash", seed=seed)
+    futures = client.submit_many(
+        [InferenceRequest(user_id=int(u), features=pool[:1]) for u in users]
+    )
+    client.drain()
+    lane_of = {d.device_id: i for i, d in enumerate(fleet.devices)}
+    return np.array([lane_of[f.result().device_id] for f in futures])
+
+
 class TestRouterSharding:
-    def test_same_seed_same_assignment(self, fleet):
+    def test_same_seed_same_assignment(self, fleet, pool):
         users = np.arange(500)
-        first = Router(fleet.devices, seed=11).shard(users)
-        second = Router(fleet.devices, seed=11).shard(users)
-        assert np.array_equal(first, second)
+        first = hash_shard(3, users, seed=11)
+        assert np.array_equal(first, hash_shard(3, users, seed=11))
+        assert np.array_equal(first, served_lanes(fleet, users, 11, pool))
 
     def test_different_seed_rebalances(self, fleet):
         users = np.arange(500)
-        first = Router(fleet.devices, seed=11).shard(users)
-        second = Router(fleet.devices, seed=12).shard(users)
+        first = hash_shard(3, users, seed=11)
+        second = hash_shard(3, users, seed=12)
         assert not np.array_equal(first, second)
 
-    def test_assignment_is_stable_per_user_and_in_range(self, fleet):
-        router = Router(fleet.devices, seed=5)
+    def test_assignment_is_stable_per_user_and_in_range(self, fleet, pool):
         users = np.array([7, 7, 7, 123, 123])
-        assignment = router.shard(users)
+        assignment = served_lanes(fleet, users, 5, pool)
         assert len(set(assignment[:3].tolist())) == 1
         assert len(set(assignment[3:].tolist())) == 1
         assert assignment.min() >= 0 and assignment.max() < 3
 
+    def test_placement_is_pinned(self):
+        """Seeded placement must not drift between releases: users keep
+        their device (and its learned state) across upgrades."""
+        assert hash_shard(3, np.arange(16), seed=11).tolist() == [
+            0, 0, 2, 1, 1, 2, 0, 0, 2, 0, 2, 0, 1, 1, 0, 0,
+        ]
+        assert [
+            int(v) for v in splitmix64(np.array([0, 7, 2**40]), np.uint64(12345))
+        ] == [1716623506685013753, 17358620459345397804, 1589769656884209322]
+
     def test_roughly_balanced_over_many_users(self, fleet):
-        assignment = Router(fleet.devices, seed=2).shard(np.arange(3000))
+        assignment = hash_shard(3, np.arange(3000), seed=2)
         counts = np.bincount(assignment, minlength=3)
         assert counts.min() > 700  # each device gets a fair share of 1000±
 
-    def test_needs_devices(self):
-        with pytest.raises(ConfigurationError):
-            Router([], seed=0)
+    def test_needs_devices(self, tiny_config):
+        with pytest.raises(ServingError, match="provision"):
+            serve(FleetCoordinator(tiny_config), routing="hash", seed=0)
+        with pytest.raises(RoutingError, match="at least one device"):
+            EventLoopScheduler([], HashRouting(), seed=0)
 
 
 class TestRouterDispatch:
@@ -147,16 +181,21 @@ class TestRouterDispatch:
             InferenceRequest(user_id=i, features=pool[4 * i:4 * i + 4])
             for i in range(8)
         ]
-        router = Router(coordinator.devices, seed=3)
-        predictions = router.dispatch_tick(requests)
+        client = serve(coordinator, routing="hash", seed=3)
+        futures = client.submit_many(requests)
+        client.drain()
+        predictions = [future.result().class_ids for future in futures]
         direct = device.infer(np.concatenate([r.features for r in requests], axis=0))
         assert np.array_equal(np.concatenate(predictions), direct)
 
     def test_stats_accumulate(self, fleet, pool):
         spec = WorkloadSpec(n_users=40, requests_per_tick=12, n_ticks=4)
         traffic = TrafficGenerator(pool, spec, seed=1)
-        router = Router(fleet.devices, seed=1)
-        report = router.route(traffic.ticks())
+        client = serve(fleet, routing="hash", seed=1)
+        for requests in traffic.ticks():
+            client.submit_many(requests)
+            client.drain()
+        report = client.report()
         assert report.total_requests == 48
         assert report.total_windows == 48
         assert sum(s.requests for s in report.per_device.values()) == 48
@@ -167,9 +206,10 @@ class TestRouterDispatch:
         assert all(s.mean_latency_seconds >= 0 for s in served)
 
     def test_empty_tick_is_noop(self, fleet):
-        router = Router(fleet.devices, seed=1)
-        assert router.dispatch_tick([]) == []
-        assert router.report().total_requests == 0
+        client = serve(fleet, routing="hash", seed=1)
+        assert client.submit_many([]) == []
+        client.drain()
+        assert client.report().total_requests == 0
 
 
 class TestFleetCoordinator:
@@ -335,22 +375,23 @@ class TestCheckpointStore:
             store.restore(evicted)
 
     def test_live_router_follows_device_replacement(self, fleet, pool, tmp_path):
-        router = Router(fleet.devices, seed=1)
-        replaced_id = int(router.shard([7])[0])
+        client = serve(fleet, routing="hash", seed=1)
+        replaced_id = int(hash_shard(3, [7], seed=1)[0])
         crashed = fleet.devices[replaced_id]
         store = CheckpointStore(tmp_path)
         replacement = store.restore(store.save(crashed))
         fleet.replace_device(crashed.device_id, replacement)
         before = replacement.edge.inference_requests
-        router.dispatch_tick([InferenceRequest(user_id=7, features=pool[:2])])
+        client.submit(InferenceRequest(user_id=7, features=pool[:2]))
+        client.drain()
         assert replacement.edge.inference_requests == before + 1
         assert crashed.edge.inference_requests == 0
 
     def test_router_rejects_resized_fleet(self, fleet, pool):
-        router = Router(fleet.devices, seed=1)
+        client = serve(fleet, routing="hash", seed=1)
         fleet.provision(1)
-        with pytest.raises(ConfigurationError):
-            router.dispatch_tick([InferenceRequest(user_id=1, features=pool[:1])])
+        with pytest.raises(RoutingError, match="changed size"):
+            client.submit(InferenceRequest(user_id=1, features=pool[:1]))
 
 
 class TestFleetSimulation:

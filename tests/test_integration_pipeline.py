@@ -22,6 +22,7 @@ from repro.edge.magneto import MagnetoPlatform
 from repro.features.extractor import StatisticalFeatureExtractor
 from repro.metrics.confusion import ConfusionMatrix
 from repro.metrics.forgetting import forgetting_report
+from repro.serving import serve
 from repro.timeseries.normalize import z_score
 from repro.utils.serialization import load_npz_state, save_npz_state
 
@@ -75,7 +76,7 @@ class TestFullPipeline:
         platform.edge_learn_new_activity(
             pipeline_scenario.new_train, pipeline_scenario.new_validation
         )
-        predictions = platform.edge_predict(pipeline_scenario.test.features)
+        predictions = serve(platform).predict(pipeline_scenario.test.features)
         accuracy = float(np.mean(predictions == pipeline_scenario.test.labels))
         assert accuracy > 0.6
 

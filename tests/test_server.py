@@ -27,7 +27,6 @@ from repro.exceptions import (
     WireProtocolError,
 )
 from repro.fleet import TrafficGenerator, WorkloadSpec
-from repro.fleet.router import DeviceStats, RoutingReport
 from repro.server import (
     AsyncConnection,
     AsyncServingClient,
@@ -39,6 +38,7 @@ from repro.server import (
 )
 from repro.server.simulation import make_serving_learner
 from repro.serving import PredictRequest, serve
+from repro.serving.report import DeviceStats, RoutingReport
 
 N_FEATURES = 24
 

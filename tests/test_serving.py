@@ -19,8 +19,6 @@ from repro.exceptions import (
 from repro.fleet import (
     FleetCoordinator,
     InferenceRequest,
-    LoadBalancer,
-    Router,
     TrafficGenerator,
     WorkloadSpec,
 )
@@ -36,6 +34,8 @@ from repro.serving import (
     make_routing_policy,
     serve,
 )
+from repro.serving.routing import splitmix64
+from repro.utils.rng import resolve_rng
 
 
 @pytest.fixture(scope="module")
@@ -146,17 +146,43 @@ class TestServeFacade:
         predictions = client.predict(pool[:12])
         assert np.array_equal(predictions, pretrained_pilote.predict(pool[:12]))
 
+    def test_one_serving_path(self):
+        """Devices and platforms serve only through ``serve(...)``; the
+        report types live in the serving layer, not in ``repro.fleet``."""
+        import repro.fleet
+        import repro.serving
+        import repro.serving.report
+
+        assert not hasattr(EdgeDevice, "infer")
+        assert [n for n in dir(MagnetoPlatform) if "predict" in n] == []
+        assert not {"DeviceStats", "RoutingReport"} & set(repro.fleet.__all__)
+        assert repro.serving.DeviceStats is repro.serving.report.DeviceStats
+        assert repro.serving.RoutingReport is repro.serving.report.RoutingReport
+
     def test_fleet_client_matches_legacy_router(self, fleet, pool):
+        """Hash routing = salt draw + splitmix64 shard + one serve per device."""
         requests = [
             InferenceRequest(user_id=i, features=pool[2 * i:2 * i + 2])
             for i in range(12)
         ]
-        legacy = Router(fleet.devices, seed=9).dispatch_tick(requests)
+        salt = np.uint64(resolve_rng(9).integers(0, 2**63 - 1, dtype=np.int64))
+        users = np.array([r.user_id for r in requests], dtype=np.int64)
+        n_devices = np.uint64(len(fleet.devices))
+        shard = (splitmix64(users, salt) % n_devices).astype(np.int64)
+        expected = [None] * len(requests)
+        for position, device in enumerate(fleet.devices):
+            indices = np.flatnonzero(shard == position)
+            if indices.size:
+                windows = np.concatenate([requests[i].features for i in indices])
+                outputs = device.serve(windows)
+                for offset, index in enumerate(indices):
+                    expected[index] = outputs[2 * offset:2 * offset + 2]
         client = serve(fleet, routing="hash", seed=9)
         futures = client.submit_many(requests)
         client.drain()
-        for future, expected in zip(futures, legacy):
-            assert np.array_equal(future.result().class_ids, expected)
+        for future, lane, want in zip(futures, shard, expected):
+            assert future.result().device_id == fleet.devices[lane].device_id
+            assert np.array_equal(future.result().class_ids, want)
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ServingError, match="don't know how to serve"):
@@ -302,12 +328,11 @@ class TestDeadlines:
 
 class TestInFlightReplacement:
     def test_replace_device_no_drop_no_double(self, fleet, pool, tmp_path):
-        """LoadBalancer.replace_device with requests in flight: every request
-        is answered exactly once, queued work lands on the replacement."""
+        """fleet.replace_device with requests in flight: every request is
+        answered exactly once, queued work lands on the replacement."""
         from repro.fleet import CheckpointStore
 
         client = serve(fleet, routing="hash", seed=1)
-        balancer = LoadBalancer(fleet.devices, seed=1)
         requests = [
             InferenceRequest(user_id=u, features=pool[:1]) for u in range(30)
         ]
@@ -317,7 +342,7 @@ class TestInFlightReplacement:
         crashed = fleet.devices[0]
         store = CheckpointStore(tmp_path)
         replacement = store.restore(store.save(crashed))
-        balancer.replace_device(crashed.device_id, replacement)
+        fleet.replace_device(crashed.device_id, replacement)
         assert fleet.devices[0] is replacement  # live list is shared
 
         completions = []
@@ -333,64 +358,9 @@ class TestInFlightReplacement:
 
     def test_replace_unknown_device_rejected(self, fleet):
         with pytest.raises(ConfigurationError):
-            LoadBalancer(fleet.devices, seed=1).replace_device(99, fleet.devices[0])
+            fleet.replace_device(99, fleet.devices[0])
         with pytest.raises(RoutingError):
             serve(fleet).replace_device(99, fleet.devices[0])
-
-
-class TestDeprecationShims:
-    def test_edge_predict_warns_and_matches_client(self, pretrained_pilote, tiny_config, pool):
-        platform = MagnetoPlatform(tiny_config, seed=0)
-        platform.cloud.learner = pretrained_pilote
-        platform.cloud.history = object()
-        platform.deploy_to_edge()
-        fresh = serve(platform).predict(pool[:10])
-        with pytest.warns(DeprecationWarning, match="edge_predict is deprecated"):
-            legacy = platform.edge_predict(pool[:10])
-        assert np.array_equal(legacy, fresh)
-
-    def test_edge_device_infer_warns_and_matches_client(self, pretrained_pilote, pool):
-        device = EdgeDevice()
-        device.attach_inference(pretrained_pilote.inference_engine())
-        fresh = serve(device).predict(pool[:6])
-        with pytest.warns(DeprecationWarning, match="EdgeDevice.infer is deprecated"):
-            legacy = device.infer(pool[:6])
-        assert np.array_equal(legacy, fresh)
-
-    def test_router_submit_warns_and_matches_dispatch(self, fleet, pool):
-        request = InferenceRequest(user_id=17, features=pool[:4])
-        reference = Router(fleet.devices, seed=3).dispatch_tick([request])[0]
-        router = Router(fleet.devices, seed=3)
-        with pytest.warns(DeprecationWarning, match="Router.submit is deprecated"):
-            predictions = router.submit(request)
-        assert np.array_equal(predictions, reference)
-        # submit() traffic is folded into the router's own report.
-        assert router.report().total_requests == 1
-
-    def test_router_report_merges_submit_and_dispatch(self, fleet, pool):
-        router = Router(fleet.devices, seed=3)
-        router.dispatch_tick(
-            [InferenceRequest(user_id=u, features=pool[:1]) for u in range(6)]
-        )
-        with pytest.warns(DeprecationWarning):
-            router.submit(InferenceRequest(user_id=0, features=pool[:2]))
-        report = router.report()
-        assert report.total_requests == 7
-        assert report.total_windows == 8
-        assert sum(s.requests for s in report.per_device.values()) == 7
-
-    def test_shims_preserve_empty_batch_behaviour(self, pretrained_pilote, tiny_config):
-        empty = np.empty((0, pretrained_pilote.model.input_dim))
-        device = EdgeDevice()
-        device.attach_inference(pretrained_pilote.inference_engine())
-        with pytest.warns(DeprecationWarning):
-            assert device.infer(empty).shape == (0,)
-        platform = MagnetoPlatform(tiny_config, seed=0)
-        platform.cloud.learner = pretrained_pilote
-        platform.cloud.history = object()
-        platform.deploy_to_edge()
-        with pytest.warns(DeprecationWarning):
-            assert platform.edge_predict(empty).shape == (0,)
 
 
 class TestWorkloadSpecValidation:

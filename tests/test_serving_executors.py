@@ -24,7 +24,6 @@ from repro.exceptions import (
     WorkerDiedError,
 )
 from repro.fleet import FleetCoordinator, TrafficGenerator, WorkloadSpec
-from repro.fleet.router import DeviceStats, RoutingReport
 from repro.serving import (
     EXECUTORS,
     EventLoopScheduler,
@@ -35,6 +34,7 @@ from repro.serving import (
     make_executor,
     serve,
 )
+from repro.serving.report import DeviceStats, RoutingReport
 
 
 @pytest.fixture(scope="module")
