@@ -6,7 +6,8 @@ path, ``serve(fleet, routing="hash", seed=7)`` drained tick by tick:
 
 1. **Throughput scaling** — the same workload served by an 8-device fleet
    and a 1-device fleet; aggregate simulated throughput (devices drain
-   their queues in parallel) must be ≥ 4× the single device.
+   their queues in parallel, best of three fresh runs each) must be ≥ 4×
+   the single device.
 2. **Serving overhead** — everything the client adds on top of engine
    compute (sharding, queueing, futures, stats) must stay bounded per
    request, measured against a bare
@@ -83,6 +84,10 @@ def make_workload(pattern: str = "uniform") -> WorkloadSpec:
     )
 
 
+#: Fresh fleet builds per throughput figure; the best run is gated.
+THROUGHPUT_RUNS = 3
+
+
 def test_fleet_throughput_scales(report):
     """Aggregate 8-device throughput ≥ 4× a single device on the same stream.
 
@@ -91,6 +96,11 @@ def test_fleet_throughput_scales(report):
     concentrate enough traffic on one device that its queue dominates the
     makespan — the measured gap is the motivation for the future
     weighted/overflow balancing noted in ROADMAP.md.
+
+    Batch service times are wall-timed, so one preempted batch on a shared
+    host can set a whole run's makespan.  Every figure is therefore the best
+    of :data:`THROUGHPUT_RUNS` fresh runs, the same count for 1 and 8
+    devices, and the report prints every run.
     """
     with precision("edge"):
         package = package_for_edge(make_serving_learner())
@@ -106,19 +116,31 @@ def test_fleet_throughput_scales(report):
             time_client_drain(client, traffic.ticks())
             return client.report().aggregate_throughput
 
-        single = routed_throughput(1, "uniform")
-        fleet8 = routed_throughput(8, "uniform")
-        single_zipf = routed_throughput(1, "zipf")
-        fleet8_zipf = routed_throughput(8, "zipf")
-    scaling = fleet8 / single
-    zipf_scaling = fleet8_zipf / single_zipf
+        runs = {
+            (n_devices, pattern): [
+                routed_throughput(n_devices, pattern) for _ in range(THROUGHPUT_RUNS)
+            ]
+            for pattern in ("uniform", "zipf")
+            for n_devices in (1, 8)
+        }
+    best = {key: max(values) for key, values in runs.items()}
+    scaling = best[8, "uniform"] / best[1, "uniform"]
+    zipf_scaling = best[8, "zipf"] / best[1, "zipf"]
+
+    def row(label: str, key) -> str:
+        each = ", ".join(f"{value:.0f}" for value in runs[key])
+        return f"  {label} {best[key]:12.0f} windows/s (runs: {each})\n"
+
     report(
         "bench_fleet_throughput",
-        "fleet aggregate throughput (4096 req/tick x 8 ticks, 1000 users)\n"
-        f"  uniform, 1 device:             {single:12.0f} windows/s\n"
-        f"  uniform, 8 devices (parallel): {fleet8:12.0f} windows/s\n"
-        f"  uniform scaling:               {scaling:12.2f}x\n"
-        f"  zipf scaling (skew-limited):   {zipf_scaling:12.2f}x",
+        "fleet aggregate throughput (4096 req/tick x 8 ticks, 1000 users; "
+        f"best of {THROUGHPUT_RUNS} fresh runs)\n"
+        + row("uniform, 1 device:            ", (1, "uniform"))
+        + row("uniform, 8 devices (parallel):", (8, "uniform"))
+        + f"  uniform scaling:               {scaling:12.2f}x\n"
+        + row("zipf, 1 device:               ", (1, "zipf"))
+        + row("zipf, 8 devices (parallel):   ", (8, "zipf"))
+        + f"  zipf scaling (skew-limited):   {zipf_scaling:12.2f}x",
     )
     assert scaling >= 4.0
 

@@ -137,7 +137,7 @@ def main() -> None:
     print(f"\nhierarchical fleet: {len(tree):,} devices in {tree.n_regions} regions, "
           f"{len(tree.serving_lanes())} serving lanes")
     print(f"  region {region.region_id}: {region.n_pooled:,} pooled devices + "
-          f"{len(region.materialized)} materialised (device 12,345 drifted)")
+          f"{region.n_materialized} materialised (device 12,345 drifted)")
     print(f"  broadcast shipped {tree.transfers.deploy_shipments} packages "
           f"({tree.transfers.deploy_bytes / 2**20:.2f} MB) instead of {len(tree):,}")
     print(f"  served {answered}/32 requests through the regional tree")

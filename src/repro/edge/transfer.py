@@ -66,8 +66,9 @@ class TransferPackage:
         layer (:mod:`repro.fleet`) uses this to provision many devices from a
         single cloud broadcast.
 
-        ``copy_arrays=False`` is the copy-on-write path used by pooled fleet
-        templates (:class:`~repro.fleet.coordinator.HierarchicalFleetCoordinator`):
+        ``copy_arrays=False`` is the copy-on-write path used by a pooled
+        fleet, where one region template serves many devices
+        (:class:`~repro.fleet.coordinator.FleetCoordinator` with pooling on):
         exemplar rows and prototypes are *shared* with the package instead of
         deep-copied, so a region full of identical devices costs one support
         set, not N.  Sharing is safe because every mutation path

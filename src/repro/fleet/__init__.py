@@ -6,17 +6,20 @@ that architecture out to a *fleet* behind a single cloud broadcast:
 * :class:`FleetCoordinator` provisions N devices from heterogeneous
   :class:`~repro.edge.device.DeviceProfile`s, deploys one
   :class:`~repro.edge.transfer.TransferPackage` to all of them (each device
-  gets an independent learner) and schedules staggered per-device increments;
+  gets an independent learner), stages rollouts and schedules staggered
+  per-device increments.  One coordinator body serves every fleet size: the
+  unpooled fleet materialises every device, while a pooled fleet
+  (:class:`HierarchicalFleetCoordinator`, which only switches pooling on)
+  is a tree of regions (:class:`RegionCoordinator`), each serving many
+  devices from one copy-on-write template behind one lane — only drifting
+  devices are materialised, and a broadcast ships one package per region
+  (:class:`TransferLedger` accounts the bytes).  That is what scales the
+  same architecture to a million devices;
 * :class:`TrafficGenerator` produces deterministic open-loop workloads
   (uniform, bursty, Zipf-skewed user populations);
 * :class:`CheckpointStore` snapshots device state (full or delta archives),
   evicts under a storage budget, and restores state onto a fresh device
-  (crash/replace, elasticity);
-* :class:`HierarchicalFleetCoordinator` scales the same architecture to a
-  million devices: regions (:class:`RegionCoordinator`) serve pooled
-  copy-on-write template state behind one lane each, only drifting devices
-  are materialised, and broadcasts ship one package per region
-  (:class:`TransferLedger` accounts the bytes).
+  (crash/replace, elasticity).
 
 Entry points: ``MagnetoPlatform.to_fleet(n)``, the ``pilote fleet-sim`` CLI
 subcommand, ``examples/fleet_simulation.py`` and
@@ -24,8 +27,8 @@ subcommand, ``examples/fleet_simulation.py`` and
 
 Serving goes through :mod:`repro.serving`: ``serve(fleet)`` builds a
 futures-based client whose event-loop scheduler shards requests across the
-devices (seeded user-id hashing by default, pluggable routing policies),
-batches them through each device's
+fleet's serving lanes (seeded user-id hashing by default, pluggable routing
+policies), batches them through each lane's
 :class:`~repro.edge.inference.InferenceEngine` and reports per-device
 statistics (:class:`~repro.serving.RoutingReport`) on a simulated parallel
 clock; ``FleetCoordinator.deploy`` stages rollouts.

@@ -1,35 +1,34 @@
 """Fleet provisioning and orchestration.
 
-One :class:`~repro.edge.cloud.CloudServer` broadcast, many edge devices: the
+One :class:`~repro.edge.cloud.CloudServer` broadcast, many edge devices: one
 coordinator provisions N :class:`~repro.edge.device.EdgeDevice`s from
 (possibly heterogeneous) :class:`~repro.edge.device.DeviceProfile`s, deploys
-the same :class:`~repro.edge.transfer.TransferPackage` to each of them, and
-schedules per-device incremental updates.  Every device owns an *independent*
-learner materialised from the package
+the same :class:`~repro.edge.transfer.TransferPackage` to them, and
+schedules per-device incremental updates.  Every device runs an
+*independent* learner materialised from the package
 (:meth:`~repro.edge.transfer.TransferPackage.instantiate_learner`), so devices
 drift apart exactly as a real fleet does when new activities reach users at
 different times.
 
-Serving runs through each device's batched
-:class:`~repro.edge.inference.InferenceEngine`; ``repro.serving.serve(fleet)``
-distributes requests across the devices (:mod:`repro.serving`).
+A fleet is a list of materialised :class:`FleetDevice`\\ s plus an optional
+tree of :class:`RegionCoordinator` shards.  :class:`FleetCoordinator` is the
+unpooled case: no regions, one learner per device.  Past a few thousand
+devices that stops scaling, and :class:`HierarchicalFleetCoordinator` turns
+pooling on: each region serves many devices from one *pooled* copy-on-write
+template learner (``copy_arrays=False``) behind a single serving lane, and
+only devices that actually drift (a scheduled increment, a checkpoint probe)
+are materialised — fleet memory scales with *distinct states*, not device
+count, and a broadcast ships one package per region instead of one per
+device.  Both run the same method bodies.
 
-At fleet sizes past a few thousand devices the flat coordinator's
-one-learner-per-device model stops scaling, so
-:class:`HierarchicalFleetCoordinator` restructures the fleet into a tree of
-:class:`RegionCoordinator` shards: each region serves its devices from one
-*pooled* copy-on-write template learner
-(:meth:`~repro.edge.transfer.TransferPackage.instantiate_learner` with
-``copy_arrays=False``) behind a single serving lane, and only devices that
-actually drift (a scheduled increment, a checkpoint probe) are materialised
-into real :class:`FleetDevice`\\ s — fleet memory scales with *distinct
-states*, not device count, and a broadcast ships one package per region
-instead of one per device.
+Serving runs through each lane's batched
+:class:`~repro.edge.inference.InferenceEngine`; ``repro.serving.serve(fleet)``
+distributes requests across the lanes (:mod:`repro.serving`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +41,7 @@ from repro.edge.transfer import TransferPackage
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.nn.trainer import TrainingHistory
 from repro.utils.logging import get_logger
-from repro.utils.rng import RandomState, resolve_rng, spawn_rngs
+from repro.utils.rng import RandomState, resolve_rng
 
 logger = get_logger("fleet.coordinator")
 
@@ -102,9 +101,10 @@ class FleetDevice:
         """Receive the cloud broadcast: build the local learner and engine.
 
         ``copy_arrays=False`` shares the package's exemplar/prototype arrays
-        copy-on-write instead of deep-copying them — the pooled-template path
-        of :class:`HierarchicalFleetCoordinator` (safe: every learner
-        mutation replaces whole per-class entries, never writes into rows).
+        copy-on-write instead of deep-copying them — the path of a pooled
+        fleet's region templates and materialised devices (safe: every
+        learner mutation replaces whole per-class entries, never writes into
+        rows).
         ``backend`` pins the learner's compute backend (forwarded to
         :meth:`TransferPackage.instantiate_learner`); coordinators pass a
         shared :class:`~repro.backend.sharded.ShardedBackend` here so every
@@ -178,24 +178,20 @@ class FleetDevice:
 class FleetAccuracyReport:
     """Per-device accuracy after (staggered) increments, plus divergence.
 
-    ``weights`` (optional) gives each entry a device multiplicity — the
-    hierarchical coordinator evaluates every *distinct state* once (one
-    pooled template per region, each drifted device individually) and
-    weights it by how many devices share it, so the mean/std describe the
-    whole fleet, not the handful of evaluations.  Without weights every
-    entry counts once, matching the historical flat behaviour exactly.
+    The coordinator evaluates every *distinct state* once (one pooled
+    template per region, each materialised device individually); ``weights``
+    gives each entry the number of devices sharing it, so the mean/std
+    describe the whole fleet, not the handful of evaluations.
     """
 
     per_device: Dict[int, float]
-    weights: Optional[Dict[int, float]] = None
+    weights: Dict[int, float]
 
     def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         keys = list(self.per_device)
-        values = np.asarray([self.per_device[k] for k in keys], dtype=np.float64)
-        if self.weights is None:
-            return values, np.ones(len(keys))
-        return values, np.asarray(
-            [self.weights.get(k, 1.0) for k in keys], dtype=np.float64
+        return (
+            np.asarray([self.per_device[k] for k in keys], dtype=np.float64),
+            np.asarray([self.weights[k] for k in keys], dtype=np.float64),
         )
 
     @property
@@ -229,11 +225,11 @@ class FleetAccuracyReport:
 class TransferLedger:
     """Bytes that crossed the (simulated) cloud → edge network.
 
-    One broadcast on the flat coordinator ships the package once *per
-    device*; the hierarchical coordinator ships once *per region* and
-    materialises devices locally from the region template — this ledger is
-    where that difference becomes measurable (``pilote fleet-sim`` prints it
-    and ``benchmarks/bench_fleet_scale.py`` gates on it).
+    A broadcast ships the package once per *deploy unit*: once per device on
+    an unpooled fleet, once per region on a pooled one, whose devices
+    materialise locally from the region template — this ledger is where that
+    difference becomes measurable (``pilote fleet-sim`` prints it and
+    ``benchmarks/bench_fleet_scale.py`` gates on it).
     """
 
     deploy_bytes: int = 0
@@ -244,8 +240,67 @@ class TransferLedger:
         self.deploy_shipments += int(shipments)
 
 
+@dataclass
+class RegionCoordinator:
+    """One region of a pooled fleet: a contiguous device-id range ``[start, stop)``.
+
+    Every device in the region shares the region's device profile and — until
+    it drifts — the region's pooled copy-on-write template learner, built from
+    ``package`` and served through one synthetic serving lane (a
+    :class:`FleetDevice` carrying a *negative* id so it can never collide with
+    a real device id, which are always ≥ 0).  Devices that drift away from the
+    template (a scheduled increment, a checkpoint probe) are materialised into
+    the coordinator's ``devices`` and served individually from then on.
+    """
+
+    region_id: int
+    start: int
+    stop: int
+    profile: DeviceProfile
+    lane: Optional[FleetDevice] = None
+    package: Optional[TransferPackage] = None
+    n_materialized: int = 0
+
+    def __post_init__(self) -> None:
+        if self.lane is None:
+            self.lane = FleetDevice(-(self.region_id + 1), EdgeDevice(self.profile))
+
+    @property
+    def n_devices(self) -> int:
+        return self.stop - self.start
+
+    @property
+    def n_pooled(self) -> int:
+        """Devices still served from the pooled template."""
+        return self.n_devices - self.n_materialized
+
+    def describe(self) -> Dict[str, object]:
+        return {
+            "region_id": self.region_id,
+            "device_range": (self.start, self.stop),
+            "profile": self.profile.name,
+            "n_devices": self.n_devices,
+            "n_pooled": self.n_pooled,
+            "n_materialized": self.n_materialized,
+        }
+
+
 class FleetCoordinator:
     """Provisions, deploys and schedules a fleet of edge devices.
+
+    The fleet's state is ``devices``, a live list of the materialised
+    :class:`FleetDevice`\\ s in id order, plus ``regions`` of pooled
+    copy-on-write templates.  This class is the *unpooled* fleet: it has no
+    regions, every provisioned device is materialised with its own learner,
+    and :meth:`serving_lanes` hands the scheduler ``devices`` itself, so
+    :meth:`replace_device` and chaos wrappers reach in-flight traffic.
+    :class:`HierarchicalFleetCoordinator` switches pooling on.
+
+    Broadcasts, rollouts and the :class:`TransferLedger` work on *deploy
+    units*: regions when pooled, devices otherwise.  Every device's learner
+    seed is drawn once from the root stream (after any rollout plan) and
+    indexed by device id, so device ``i`` trains from the same stream on
+    either kind of fleet, whichever unit or rollout stage deploys it.
 
     Parameters
     ----------
@@ -266,6 +321,9 @@ class FleetCoordinator:
         bit-exact with the sharded path.
     """
 
+    #: Whether regions serve their devices from pooled templates.
+    pooled = False
+
     def __init__(
         self,
         config: Optional[PiloteConfig] = None,
@@ -279,113 +337,233 @@ class FleetCoordinator:
         self.profiles = tuple(profiles) if profiles else (DEVICE_PROFILES["smartphone"],)
         self._root_rng = resolve_rng(seed)
         self.devices: List[FleetDevice] = []
+        self.regions: List[RegionCoordinator] = []
+        self.requested_regions: Optional[int] = None
         self.package: Optional[TransferPackage] = None
         self.transfers = TransferLedger()
         self._pending_increments: List[Tuple[int, int, HARDataset, Optional[HARDataset]]] = []
         self._rollout = None  # ActiveRollout when deploy(..., rollout=...) ran
         self._device_index: Dict[int, int] = {}
+        self._n_devices = 0
+        self._unit_size = 1  # devices per deploy unit (region size when pooled)
+        self._device_seeds: Optional[np.ndarray] = None
+        self._lanes: Optional[List[FleetDevice]] = None  # frozen pooled lanes
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self.devices)
+        return self._n_devices
+
+    @property
+    def n_regions(self) -> int:
+        return len(self.regions)
 
     def _reindex(self) -> None:
         self._device_index = {
             device.device_id: position for position, device in enumerate(self.devices)
         }
 
-    def device(self, device_id: int) -> FleetDevice:
-        """Look up one device by id (O(1) via the id → position index)."""
+    def _lookup(self, device_id: int) -> Optional[FleetDevice]:
+        """The materialised device with this id, or ``None`` (O(1) via the index)."""
+        position = self._device_index.get(device_id)
+        if (
+            position is None
+            or position >= len(self.devices)
+            or self.devices[position].device_id != device_id
+        ):
+            # Index went stale (external list surgery) — rebuild once and retry.
+            self._reindex()
+            position = self._device_index.get(device_id)
+        return None if position is None else self.devices[position]
+
+    def region_of(self, device_id: int) -> RegionCoordinator:
+        """The region owning a (non-negative) device id of a pooled fleet."""
         device_id = int(device_id)
-        position = self._device_index.get(device_id)
-        if position is not None and position < len(self.devices):
-            candidate = self.devices[position]
-            if candidate.device_id == device_id:
-                return candidate
-        # Index went stale (external list surgery) — rebuild once and retry.
+        if not self.regions or not 0 <= device_id < len(self):
+            raise ConfigurationError(f"no device with id {device_id} in the fleet")
+        return self.regions[device_id // self._unit_size]
+
+    def _unit_of(self, device_id: int) -> int:
+        """Deploy unit of a device id, or of a pooled template lane's negative id."""
+        return -device_id - 1 if device_id < 0 else device_id // self._unit_size
+
+    def pooled_region(self, lane: FleetDevice) -> Optional[RegionCoordinator]:
+        """The region whose template ``lane`` is, or ``None`` for a device's own lane."""
+        return self.regions[-lane.device_id - 1] if lane.device_id < 0 else None
+
+    def device(self, device_id: int) -> FleetDevice:
+        """Look up one device by id, materialising it out of its region's pool.
+
+        A materialised learner is instantiated copy-on-write from its region's
+        package with the device's own seed, so everything downstream
+        (increments, checkpoints, serving) behaves exactly as on an unpooled
+        fleet.  Materialisation is frozen once :meth:`serving_lanes` ran —
+        new lanes would invalidate the routing table.
+        """
+        device_id = int(device_id)
+        existing = self._lookup(device_id)
+        if existing is not None:
+            return existing
+        region = self.region_of(device_id)  # raises for ids outside the fleet
+        if self._lanes is not None:
+            raise ConfigurationError(
+                "cannot materialise new devices after serving_lanes() froze the "
+                "lane set; materialise (e.g. schedule increments) before serving"
+            )
+        device = FleetDevice(device_id, EdgeDevice(region.profile))
+        if region.package is not None:
+            self._deploy_device(device, region.package)
+        region.n_materialized += 1
+        self.devices.append(device)
+        self.devices.sort(key=lambda d: d.device_id)
         self._reindex()
-        position = self._device_index.get(device_id)
-        if position is not None:
-            return self.devices[position]
-        raise ConfigurationError(f"no device with id {device_id} in the fleet")
+        return device
 
     def provision(
         self, n_devices: int, profiles: Optional[Sequence[DeviceProfile]] = None
-    ) -> List[FleetDevice]:
-        """Add ``n_devices`` fresh devices, cycling through the profile list."""
+    ) -> List:
+        """Add ``n_devices`` devices, cycling through the profile list.
+
+        An unpooled fleet materialises every device, can grow later, and
+        returns the new devices.  A pooled fleet shards the ids into
+        contiguous regions exactly once (growing later would reshuffle
+        ownership) and returns the regions; profiles cycle per *region*,
+        since pooling needs every device of a region to share one.
+        """
         if n_devices <= 0:
             raise ConfigurationError(f"n_devices must be positive, got {n_devices}")
+        if self.pooled and self.regions:
+            raise ConfigurationError("a pooled fleet is provisioned exactly once")
         pool = tuple(profiles) if profiles else self.profiles
-        created = []
-        next_id = max((d.device_id for d in self.devices), default=-1) + 1
-        for index in range(n_devices):
-            profile = pool[index % len(pool)]
-            device = FleetDevice(next_id + index, EdgeDevice(profile))
-            self._device_index[device.device_id] = len(self.devices)
-            self.devices.append(device)
-            created.append(device)
-        logger.info("provisioned %d devices (%d total)", n_devices, len(self.devices))
-        return created
+        n_devices = int(n_devices)
+        if not self.pooled:
+            start = self._n_devices
+            created = [
+                FleetDevice(start + index, EdgeDevice(pool[index % len(pool)]))
+                for index in range(n_devices)
+            ]
+            self.devices.extend(created)
+            self._reindex()
+            self._n_devices += n_devices
+            logger.info("provisioned %d devices (%d total)", n_devices, len(self))
+            return created
+        requested = self.requested_regions if self.requested_regions else min(64, n_devices)
+        if requested <= 0:
+            raise ConfigurationError(f"n_regions must be positive, got {requested}")
+        size = self._unit_size = -(-n_devices // min(int(requested), n_devices))
+        self.regions = [
+            RegionCoordinator(
+                region_id,
+                region_id * size,
+                min((region_id + 1) * size, n_devices),
+                pool[region_id % len(pool)],
+            )
+            for region_id in range(-(-n_devices // size))  # ceil division
+        ]
+        self._n_devices = n_devices
+        logger.info(
+            "provisioned %d devices across %d regions (<= %d devices each)",
+            n_devices,
+            len(self.regions),
+            size,
+        )
+        return list(self.regions)
 
+    # ------------------------------------------------------------------ #
+    # deploy units and staged rollout
+    # ------------------------------------------------------------------ #
     def deploy(self, package: TransferPackage, rollout=None) -> None:
-        """Deploy one transfer package across the fleet.
+        """Deploy one transfer package across the fleet's deploy units.
 
-        Without a ``rollout`` policy this is the historical broadcast: every
-        not-yet-deployed device receives the package at once.  With one — a
+        Without a ``rollout`` policy this is a broadcast to every unit that
+        has not received a package yet.  With one — a
         :class:`~repro.serving.rollout.RolloutPolicy` instance or registry
         name (``"all-at-once"``, ``"staged"``, ``"ab"``) — the policy plans
-        which devices receive the package at which stage; stage 0 is applied
-        immediately and :meth:`advance_rollout` applies the rest.  Cohort
-        labels from the plan feed :meth:`rollout_report`.
+        which units receive the package at which stage; stage 0 is applied
+        immediately and :meth:`advance_rollout` applies the rest.  Each stage
+        unit's template and materialised devices are rebuilt from the
+        package.  Cohort labels from the plan feed :meth:`cohort_of` and
+        :meth:`rollout_report`; policies that route individual users (e.g.
+        ``"ab"``) need units of one device.
         """
-        if not self.devices:
+        if not len(self):
             raise ConfigurationError("provision() must run before deploy()")
+        unit_lanes = [region.lane for region in self.regions] if self.pooled else self.devices
+        unit_ids = [self._unit_of(lane.device_id) for lane in unit_lanes]
+        active = None
         if rollout is None:
-            targets = [d for d in self.devices if not d.is_deployed]
-            self._deploy_to(targets, package)
-            self._rollout = None
+            units = [u for u, lane in zip(unit_ids, unit_lanes) if not lane.is_deployed]
         else:
             from repro.serving.rollout import ActiveRollout, make_rollout_policy
 
             policy = make_rollout_policy(rollout)
-            plan = policy.plan([d.device_id for d in self.devices], self._root_rng)
-            self._deploy_to([self.device(i) for i in plan.stages[0]], package)
-            self._rollout = ActiveRollout(policy=policy, plan=plan, package=package)
-            logger.info(
-                "rollout %r: stage 0/%d deployed to %d devices",
-                policy.name,
-                plan.n_stages,
-                len(plan.stages[0]),
-            )
+            if policy.routes_users and self._unit_size > 1:
+                raise ConfigurationError(
+                    f"rollout policy {policy.name!r} routes individual users and "
+                    "cannot drive a rollout over regions that pool several devices"
+                )
+            plan = policy.plan(unit_ids, self._root_rng)
+            units = plan.stages[0]
+            active = ActiveRollout(policy=policy, plan=plan, package=package)
+        self._draw_seeds()
+        self._deploy_units(units, package)
+        self._rollout = active
         self.package = package
 
-    def _deploy_to(self, targets: Sequence[FleetDevice], package: TransferPackage) -> None:
-        seeds = spawn_rngs(self._root_rng, len(targets))
-        for device, device_rng in zip(targets, seeds):
-            device.deploy(package, self.config, seed=device_rng, backend=self.backend)
-        self.transfers.record_deploy(package.total_bytes, len(targets))
-        logger.info(
-            "deployed %.2f KB package to %d devices",
-            package.total_bytes / 1024,
-            len(targets),
+    def _draw_seeds(self) -> None:
+        """Extend the id-indexed :func:`~repro.utils.rng.spawn_rngs` draw to new devices."""
+        drawn = 0 if self._device_seeds is None else self._device_seeds.size
+        if drawn < len(self):
+            fresh = self._root_rng.integers(
+                0, 2**63 - 1, size=len(self) - drawn, dtype=np.int64
+            )
+            self._device_seeds = (
+                fresh if self._device_seeds is None
+                else np.concatenate((self._device_seeds, fresh))
+            )
+
+    def _deploy_device(self, device: FleetDevice, package: TransferPackage) -> None:
+        device.deploy(
+            package,
+            self.config,
+            seed=resolve_rng(int(self._device_seeds[device.device_id])),
+            copy_arrays=not self.pooled,
+            backend=self.backend,
         )
 
-    # ------------------------------------------------------------------ #
-    # staged rollout
-    # ------------------------------------------------------------------ #
+    def _deploy_units(self, units: Sequence[int], package: TransferPackage) -> None:
+        """Ship ``package`` to each unit: its template, then its materialised devices."""
+        members: Dict[int, List[FleetDevice]] = {}
+        for device in self.devices:
+            members.setdefault(self._unit_of(device.device_id), []).append(device)
+        for unit in units:
+            if self.pooled:
+                region = self.regions[unit]
+                region.lane.deploy(
+                    package, self.config, seed=0, copy_arrays=False, backend=self.backend
+                )
+                region.package = package
+            for device in members.get(unit, ()):
+                self._deploy_device(device, package)
+        self.transfers.record_deploy(package.total_bytes, len(units))
+        logger.info("deployed %.2f KB package to %d units", package.total_bytes / 1024, len(units))
+
     @property
     def active_rollout(self):
         """The rollout in progress, or ``None``."""
         return self._rollout
 
     def cohort_of(self, device_id: int) -> Optional[str]:
-        """Rollout cohort label of one device (``None`` without a rollout)."""
+        """Rollout cohort of a device — its deploy unit's label.
+
+        ``None`` without a rollout.  A pooled template lane's negative id
+        resolves to its region's label.
+        """
         if self._rollout is None:
             return None
-        return self._rollout.plan.cohorts.get(int(device_id))
+        return self._rollout.plan.cohorts.get(self._unit_of(int(device_id)))
 
     def advance_rollout(self) -> List[int]:
-        """Deploy the next rollout stage; returns the newly deployed ids.
+        """Deploy the next rollout stage; returns the newly deployed unit ids.
 
         Returns an empty list once the plan is exhausted (the rollout stays
         recorded for cohort reporting).  Raises
@@ -397,15 +575,8 @@ class FleetCoordinator:
         if self._rollout.complete:
             return []
         stage = self._rollout.plan.stages[self._rollout.next_stage]
-        self._deploy_to([self.device(i) for i in stage], self._rollout.package)
+        self._deploy_units(stage, self._rollout.package)
         self._rollout.next_stage += 1
-        logger.info(
-            "rollout %r: stage %d/%d deployed to %d devices",
-            self._rollout.policy.name,
-            self._rollout.next_stage - 1,
-            self._rollout.plan.n_stages,
-            len(stage),
-        )
         return list(stage)
 
     def rollout_report(self, dataset: Optional[HARDataset] = None, serving=None):
@@ -415,58 +586,69 @@ class FleetCoordinator:
         learner for per-cohort accuracy; ``serving`` (an optional
         :class:`~repro.serving.RoutingReport`, e.g.
         ``client.report()``) contributes per-cohort request counts and
-        mean/p99 simulated latency.
+        mean/p99 simulated latency.  Needs units of one device: a region
+        pooling several devices has no per-device rollout state.
         """
         from repro.serving.rollout import CohortReport, RolloutReport
 
         if self._rollout is None:
             raise ConfigurationError("no rollout in progress; deploy(..., rollout=...) first")
-        cohorts = self._rollout.plan.cohorts
+        if self._unit_size > 1:
+            raise ConfigurationError(
+                "per-device rollout reports need one device per region; use "
+                "cohort_of() and describe() for region-level rollout state"
+            )
         report = RolloutReport(policy=self._rollout.policy.name)
-        for device in self.devices:
-            cohort = cohorts.get(device.device_id)
+        lanes: Dict[str, List[FleetDevice]] = {}
+        for device_id in range(len(self)):
+            cohort = self.cohort_of(device_id)
             if cohort is None:
                 continue
+            lane = self._lookup(device_id) or self.region_of(device_id).lane
             row = report.per_cohort.setdefault(
                 cohort, CohortReport(cohort=cohort, device_ids=[], n_deployed=0)
             )
-            row.device_ids.append(device.device_id)
-            if device.is_deployed:
+            row.device_ids.append(device_id)
+            if lane.is_deployed:
                 row.n_deployed += 1
-        if dataset is not None:
-            for row in report.per_cohort.values():
-                accuracies = [
-                    self.device(i).accuracy(dataset)
-                    for i in row.device_ids
-                    if self.device(i).is_deployed
-                ]
+                lanes.setdefault(cohort, []).append(lane)
+        for cohort, row in report.per_cohort.items():
+            deployed = lanes.get(cohort, [])
+            if dataset is not None:
+                accuracies = [lane.accuracy(dataset) for lane in deployed]
                 row.accuracy = float(np.mean(accuracies)) if accuracies else None
-        if serving is not None:
-            for row in report.per_cohort.values():
-                stats = [
-                    serving.per_device[i]
-                    for i in row.device_ids
-                    if i in serving.per_device
-                ]
-                row.requests = int(sum(s.requests for s in stats))
-                if row.requests:
-                    row.mean_latency_seconds = (
-                        sum(s.total_latency_seconds for s in stats) / row.requests
-                    )
-                latencies = [l for s in stats for l in s.latencies]
-                if latencies:
-                    row.p99_latency_seconds = float(
-                        np.percentile(np.asarray(latencies), 99.0)
-                    )
+            if serving is None:
+                continue
+            stats = [
+                serving.per_device[lane.device_id]
+                for lane in deployed
+                if lane.device_id in serving.per_device
+            ]
+            row.requests = int(sum(s.requests for s in stats))
+            if row.requests:
+                row.mean_latency_seconds = (
+                    sum(s.total_latency_seconds for s in stats) / row.requests
+                )
+            latencies = [l for s in stats for l in s.latencies]
+            if latencies:
+                row.p99_latency_seconds = float(
+                    np.percentile(np.asarray(latencies), 99.0)
+                )
         return report
 
     def replace_device(self, device_id: int, replacement: FleetDevice) -> FleetDevice:
-        """Swap a (crashed) device for its replacement, keeping the id slot."""
-        current = self.device(device_id)  # raises ConfigurationError when absent
-        position = self._device_index[current.device_id]
+        """Swap a materialised (crashed) device for its replacement, keeping its slot."""
+        current = self._lookup(int(device_id))
+        if current is None:
+            raise ConfigurationError(
+                f"no materialised device with id {device_id} in the fleet"
+            )
+        position = self._device_index.pop(current.device_id)
         self.devices[position] = replacement
-        del self._device_index[current.device_id]
         self._device_index[replacement.device_id] = position
+        if self._lanes is not None:
+            # In-place swap so the scheduler, which shares this list, sees it.
+            self._lanes[self._lanes.index(current)] = replacement
         return replacement
 
     # ------------------------------------------------------------------ #
@@ -479,8 +661,11 @@ class FleetCoordinator:
         new_train: HARDataset,
         new_validation: Optional[HARDataset] = None,
     ) -> None:
-        """Queue an incremental update for one device at a simulation tick."""
-        self.device(device_id)  # validate the id eagerly
+        """Queue an incremental update for one device at a simulation tick.
+
+        Validates the id eagerly, which materialises a pooled device.
+        """
+        self.device(device_id)
         self._pending_increments.append((int(tick), device_id, new_train, new_validation))
 
     def pending_increments(self) -> List[Tuple[int, int]]:
@@ -506,98 +691,85 @@ class FleetCoordinator:
         return histories
 
     # ------------------------------------------------------------------ #
+    # serving integration
+    # ------------------------------------------------------------------ #
+    def serving_lanes(self) -> List[FleetDevice]:
+        """The serving lanes: pooled region templates, then ``devices``.
+
+        An unpooled fleet returns the live ``devices`` list itself.  A pooled
+        fleet's region lanes come first (position = ``region_id``); the first
+        call freezes materialisation so :meth:`lane_map` stays valid.
+        :func:`repro.serving.client.serve` hands this list to the scheduler.
+        """
+        if not self.pooled:
+            return self.devices
+        if self._lanes is None:
+            self._lanes = [region.lane for region in self.regions] + self.devices
+        return self._lanes
+
+    def lane_map(self) -> np.ndarray:
+        """``device id → serving-lane position`` (int64 vector of length N).
+
+        Pooled devices map to their region's lane; materialised devices map
+        to their own lane.  :class:`~repro.serving.routing.RegionalRouting`
+        indexes this array with the hashed user id, which keeps the user →
+        *device* assignment identical to unpooled ``"hash"`` routing — the
+        lane merely serves whichever state that device currently holds.
+        """
+        positions = {lane.device_id: pos for pos, lane in enumerate(self.serving_lanes())}
+        mapping = np.arange(len(self), dtype=np.int64) // self._unit_size
+        for device in self.devices:
+            mapping[device.device_id] = positions[device.device_id]
+        return mapping
+
+    # ------------------------------------------------------------------ #
     def accuracy_report(self, dataset: HARDataset) -> FleetAccuracyReport:
-        """Per-device accuracy on one test set — the fleet divergence view."""
-        if not self.devices:
-            raise ConfigurationError("the fleet has no devices")
-        return FleetAccuracyReport(
-            per_device={d.device_id: d.accuracy(dataset) for d in self.devices}
-        )
+        """Fleet accuracy: each distinct state once, weighted by its device count."""
+        per_device: Dict[int, float] = {}
+        weights: Dict[int, float] = {}
+        for lane in [region.lane for region in self.regions] + self.devices:
+            region = self.pooled_region(lane)
+            weight = 1 if region is None else region.n_pooled
+            if weight and lane.is_deployed:
+                per_device[lane.device_id] = lane.accuracy(dataset)
+                weights[lane.device_id] = float(weight)
+        if not per_device:
+            raise ConfigurationError("no deployed devices to evaluate; deploy() first")
+        return FleetAccuracyReport(per_device=per_device, weights=weights)
 
     def describe(self) -> List[Dict[str, object]]:
-        return [device.describe() for device in self.devices]
-
-
-@dataclass
-class RegionCoordinator:
-    """One shard of the hierarchical fleet: a contiguous id range ``[start, stop)``.
-
-    Every device in the region shares the region's device profile and — until
-    it drifts — the region's pooled copy-on-write template learner, served
-    through one synthetic serving lane (a :class:`FleetDevice` carrying a
-    *negative* id so it can never collide with a real device id, which are
-    always ≥ 0).  Devices that drift away from the template (a scheduled
-    increment, a checkpoint probe) are *materialised* into ``materialized``
-    and served individually from then on.
-    """
-
-    region_id: int
-    start: int
-    stop: int
-    profile: DeviceProfile
-    lane: Optional[FleetDevice] = None
-    materialized: Dict[int, FleetDevice] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.lane is None:
-            self.lane = FleetDevice(-(self.region_id + 1), EdgeDevice(self.profile))
-
-    @property
-    def n_devices(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def n_pooled(self) -> int:
-        """Devices still served from the pooled template."""
-        return self.n_devices - len(self.materialized)
-
-    def owns(self, device_id: int) -> bool:
-        return self.start <= int(device_id) < self.stop
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "region_id": self.region_id,
-            "device_range": (self.start, self.stop),
-            "profile": self.profile.name,
-            "n_devices": self.n_devices,
-            "n_pooled": self.n_pooled,
-            "materialized": sorted(self.materialized),
-        }
+        """One row per region, then one per materialised device."""
+        return [region.describe() for region in self.regions] + [
+            device.describe() for device in self.devices
+        ]
 
 
 class HierarchicalFleetCoordinator(FleetCoordinator):
-    """A fleet restructured as a tree of :class:`RegionCoordinator` shards.
+    """A pooled fleet: a tree of :class:`RegionCoordinator` shards.
 
-    The flat :class:`FleetCoordinator` materialises one learner per device,
-    which stops being tractable somewhere past a few thousand devices (a
-    million devices would hold a million copies of the same support set).
-    The hierarchical coordinator exploits that devices which received the
-    same broadcast and ran the same increments are *bit-identical*: each
-    region serves its devices from one pooled template learner instantiated
-    copy-on-write from the :class:`~repro.edge.transfer.TransferPackage`
-    (``copy_arrays=False``), and only devices that actually diverge are
-    materialised.  Memory scales with the number of *distinct states*
-    (regions + drifted devices), not with device count, and one broadcast
-    ships one package per region instead of one per device.
+    An unpooled fleet materialises one learner per device, which stops being
+    tractable somewhere past a few thousand devices (a million devices would
+    hold a million copies of the same support set).  Devices that received
+    the same broadcast and ran the same increments are *bit-identical*, so a
+    pooled fleet serves each region's devices from one template learner
+    instantiated copy-on-write from the
+    :class:`~repro.edge.transfer.TransferPackage` (``copy_arrays=False``) and
+    materialises only the devices that actually diverge.  Memory scales with
+    the number of *distinct states* (regions + drifted devices), not with
+    device count, and a broadcast ships one package per region.
 
-    Compatibility with the flat coordinator:
-
-    - ``device(i)`` materialises device ``i`` on demand; the materialised
-      learner trains from the *same* spawned RNG stream flat device ``i``
-      would use, so a small fleet run hierarchically is bit-exact with the
-      flat coordinator (``benchmarks/bench_fleet_scale.py`` gates on this).
-    - ``schedule_increment``/``run_due_increments`` are inherited unchanged —
-      validation materialises the target device.
-    - ``deploy(..., rollout=...)`` stages over *regions* (device-granular
-      policies that route users, e.g. ``"ab"``, are rejected).
-    - ``accuracy_report`` evaluates each distinct state once and weights it
-      by device multiplicity.
-
-    Serving integrates through :meth:`serving_lanes` (one lane per region
-    plus every materialised device) and :meth:`lane_map`, which
-    :class:`~repro.serving.routing.RegionalRouting` uses to keep user → device
-    hashing identical to the flat fleet's ``"hash"`` policy.
+    Everything else is the shared :class:`FleetCoordinator` body:
+    ``device(i)`` materialises device ``i`` with the same seed it would get
+    unpooled, so a small fleet served pooled is bit-exact with the unpooled
+    one (``benchmarks/bench_fleet_scale.py`` gates on this); rollouts stage
+    over regions; ``accuracy_report`` weights each state by its device count;
+    and :func:`repro.serving.client.serve` routes through
+    :class:`~repro.serving.routing.RegionalRouting`, which keeps user →
+    device hashing identical to the unpooled ``"hash"`` policy.
+    ``n_regions`` caps the region count (default: up to 64).
     """
+
+    pooled = True
 
     def __init__(
         self,
@@ -609,254 +781,4 @@ class HierarchicalFleetCoordinator(FleetCoordinator):
         backend=None,
     ) -> None:
         super().__init__(config, profiles=profiles, seed=seed, backend=backend)
-        self.regions: List[RegionCoordinator] = []
         self.requested_regions = n_regions
-        self._n_devices = 0
-        self._region_size = 0
-        self._device_seeds: Optional[np.ndarray] = None
-        self._lanes: Optional[List[FleetDevice]] = None
-
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._n_devices
-
-    @property
-    def n_regions(self) -> int:
-        return len(self.regions)
-
-    def provision(
-        self, n_devices: int, profiles: Optional[Sequence[DeviceProfile]] = None
-    ) -> List[RegionCoordinator]:
-        """Shard ``n_devices`` ids into regions; returns the region list.
-
-        Unlike the flat coordinator a hierarchical fleet is provisioned
-        exactly once — regions own contiguous id ranges, so growing the fleet
-        later would reshuffle ownership.  Profiles cycle per *region* (every
-        device in a region shares its profile; pooling requires it).
-        """
-        if self.regions:
-            raise ConfigurationError("a hierarchical fleet is provisioned exactly once")
-        if n_devices <= 0:
-            raise ConfigurationError(f"n_devices must be positive, got {n_devices}")
-        pool = tuple(profiles) if profiles else self.profiles
-        requested = self.requested_regions if self.requested_regions else min(64, n_devices)
-        if requested <= 0:
-            raise ConfigurationError(f"n_regions must be positive, got {requested}")
-        requested = min(int(requested), int(n_devices))
-        self._region_size = -(-int(n_devices) // requested)  # ceil division
-        n_regions = -(-int(n_devices) // self._region_size)
-        for region_id in range(n_regions):
-            start = region_id * self._region_size
-            stop = min(start + self._region_size, int(n_devices))
-            self.regions.append(
-                RegionCoordinator(region_id, start, stop, pool[region_id % len(pool)])
-            )
-        self._n_devices = int(n_devices)
-        logger.info(
-            "provisioned %d devices across %d regions (<= %d devices each)",
-            n_devices,
-            n_regions,
-            self._region_size,
-        )
-        return list(self.regions)
-
-    # ------------------------------------------------------------------ #
-    def deploy(self, package: TransferPackage, rollout=None) -> None:
-        """Broadcast the package region-by-region (one shipment per region)."""
-        if not self.regions:
-            raise ConfigurationError("provision() must run before deploy()")
-        if self._device_seeds is None:
-            # The exact draw the flat coordinator's spawn_rngs() would make
-            # for a full broadcast, so materialised device i trains from the
-            # identical RNG stream as flat device i (bit-exact equivalence).
-            self._device_seeds = self._root_rng.integers(
-                0, 2**63 - 1, size=self._n_devices, dtype=np.int64
-            )
-        if rollout is None:
-            self._deploy_regions(self.regions, package)
-            self._rollout = None
-        else:
-            from repro.serving.rollout import ActiveRollout, make_rollout_policy
-
-            policy = make_rollout_policy(rollout)
-            if policy.routes_users:
-                raise ConfigurationError(
-                    f"rollout policy {policy.name!r} routes individual users and "
-                    "cannot drive a region-granular hierarchical rollout"
-                )
-            plan = policy.plan([r.region_id for r in self.regions], self._root_rng)
-            self._deploy_regions([self.regions[i] for i in plan.stages[0]], package)
-            self._rollout = ActiveRollout(policy=policy, plan=plan, package=package)
-            logger.info(
-                "rollout %r: stage 0/%d deployed to %d regions",
-                policy.name,
-                plan.n_stages,
-                len(plan.stages[0]),
-            )
-        self.package = package
-
-    def _deploy_regions(
-        self, regions: Sequence[RegionCoordinator], package: TransferPackage
-    ) -> None:
-        for region in regions:
-            if not region.lane.is_deployed:
-                region.lane.deploy(
-                    package, self.config, seed=0, copy_arrays=False,
-                    backend=self.backend,
-                )
-            for device in region.materialized.values():
-                if not device.is_deployed:
-                    device.deploy(
-                        package,
-                        self.config,
-                        seed=resolve_rng(
-                            int(self._device_seeds[device.device_id])
-                        ),
-                        copy_arrays=False,
-                        backend=self.backend,
-                    )
-        self.transfers.record_deploy(package.total_bytes, len(regions))
-        logger.info(
-            "deployed %.2f KB package to %d regions",
-            package.total_bytes / 1024,
-            len(regions),
-        )
-
-    def advance_rollout(self) -> List[int]:
-        """Deploy the next rollout stage; returns the newly deployed region ids."""
-        if self._rollout is None:
-            raise ConfigurationError("no rollout in progress; deploy(..., rollout=...) first")
-        if self._rollout.complete:
-            return []
-        stage = self._rollout.plan.stages[self._rollout.next_stage]
-        self._deploy_regions([self.regions[i] for i in stage], self._rollout.package)
-        self._rollout.next_stage += 1
-        return list(stage)
-
-    def cohort_of(self, device_id: int) -> Optional[str]:
-        """Rollout cohort of a device — its *region's* cohort label."""
-        if self._rollout is None:
-            return None
-        return self._rollout.plan.cohorts.get(self.region_of(device_id).region_id)
-
-    def rollout_report(self, dataset=None, serving=None):
-        raise ConfigurationError(
-            "per-device rollout reports are not available on a hierarchical fleet; "
-            "use cohort_of() and describe() for region-level rollout state"
-        )
-
-    # ------------------------------------------------------------------ #
-    def region_of(self, device_id: int) -> RegionCoordinator:
-        """The region owning a (non-negative) device id."""
-        device_id = int(device_id)
-        if not 0 <= device_id < self._n_devices:
-            raise ConfigurationError(f"no device with id {device_id} in the fleet")
-        return self.regions[device_id // self._region_size]
-
-    def device(self, device_id: int) -> FleetDevice:
-        """Materialise (or fetch) one device out of its region's pool.
-
-        The materialised learner is instantiated copy-on-write from the
-        deployed package with the same per-device RNG stream the flat
-        coordinator would have spawned, so everything downstream (increments,
-        checkpoints, serving) behaves exactly as on a flat fleet.
-        Materialisation is frozen once :meth:`serving_lanes` ran — new lanes
-        would invalidate the routing table.
-        """
-        region = self.region_of(device_id)
-        device_id = int(device_id)
-        existing = region.materialized.get(device_id)
-        if existing is not None:
-            return existing
-        if self._lanes is not None:
-            raise ConfigurationError(
-                "cannot materialise new devices after serving_lanes() froze the "
-                "lane set; materialise (e.g. schedule increments) before serving"
-            )
-        device = FleetDevice(device_id, EdgeDevice(region.profile))
-        if region.lane.is_deployed and self.package is not None:
-            device.deploy(
-                self.package,
-                self.config,
-                seed=resolve_rng(int(self._device_seeds[device_id])),
-                copy_arrays=False,
-                backend=self.backend,
-            )
-        region.materialized[device_id] = device
-        return device
-
-    def replace_device(self, device_id: int, replacement: FleetDevice) -> FleetDevice:
-        """Swap a materialised (crashed) device for its replacement."""
-        device_id = int(device_id)
-        region = self.region_of(device_id)
-        current = region.materialized.get(device_id)
-        if current is None:
-            raise ConfigurationError(
-                f"device {device_id} is not materialised; only materialised "
-                "devices can be replaced"
-            )
-        del region.materialized[device_id]
-        region.materialized[int(replacement.device_id)] = replacement
-        if self._lanes is not None:
-            # In-place swap so the scheduler, which shares this list, sees it.
-            self._lanes[self._lanes.index(current)] = replacement
-        return replacement
-
-    # ------------------------------------------------------------------ #
-    # serving integration
-    # ------------------------------------------------------------------ #
-    def serving_lanes(self) -> List[FleetDevice]:
-        """Freeze and return the serving lanes: region lanes, then drifted devices.
-
-        Every region contributes its pooled template lane (position =
-        ``region_id``), followed by all materialised devices in id order.
-        :func:`repro.serving.client.serve` passes this list to the scheduler;
-        the first call freezes materialisation so :meth:`lane_map` stays valid.
-        """
-        if self._lanes is None:
-            lanes = [region.lane for region in self.regions]
-            for region in self.regions:
-                lanes.extend(region.materialized[i] for i in sorted(region.materialized))
-            self._lanes = lanes
-        return self._lanes
-
-    def lane_map(self) -> np.ndarray:
-        """``device id → serving-lane position`` (int64 vector of length N).
-
-        Pooled devices map to their region's lane; materialised devices map
-        to their own lane.  :class:`~repro.serving.routing.RegionalRouting`
-        indexes this array with the hashed user id, which keeps the user →
-        *device* assignment identical to flat ``"hash"`` routing — the lane
-        merely serves whichever state that device currently holds.
-        """
-        lanes = self.serving_lanes()
-        positions = {lane.device_id: pos for pos, lane in enumerate(lanes)}
-        mapping = np.arange(self._n_devices, dtype=np.int64) // self._region_size
-        for region in self.regions:
-            for device_id in region.materialized:
-                mapping[device_id] = positions[device_id]
-        return mapping
-
-    # ------------------------------------------------------------------ #
-    def accuracy_report(self, dataset: HARDataset) -> FleetAccuracyReport:
-        """Fleet accuracy: each distinct state once, weighted by multiplicity."""
-        if not self.regions:
-            raise ConfigurationError("the fleet has no devices")
-        per_device: Dict[int, float] = {}
-        weights: Dict[int, float] = {}
-        for region in self.regions:
-            if region.lane.is_deployed and region.n_pooled > 0:
-                per_device[region.lane.device_id] = region.lane.accuracy(dataset)
-                weights[region.lane.device_id] = float(region.n_pooled)
-            for device_id in sorted(region.materialized):
-                device = region.materialized[device_id]
-                if device.is_deployed:
-                    per_device[device_id] = device.accuracy(dataset)
-                    weights[device_id] = 1.0
-        if not per_device:
-            raise ConfigurationError("no deployed devices to evaluate; deploy() first")
-        return FleetAccuracyReport(per_device=per_device, weights=weights)
-
-    def describe(self) -> List[Dict[str, object]]:
-        return [region.describe() for region in self.regions]
-

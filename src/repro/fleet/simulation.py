@@ -33,7 +33,7 @@ from repro.fleet.coordinator import (
     FleetCoordinator,
     HierarchicalFleetCoordinator,
 )
-from repro.fleet.traffic import TrafficGenerator, WorkloadSpec, staggered_schedule
+from repro.fleet.traffic import TrafficGenerator, WorkloadSpec
 from repro.serving.report import RoutingReport
 from repro.utils.logging import get_logger
 from repro.utils.rng import resolve_rng, spawn_rngs
@@ -237,48 +237,39 @@ def run(
     package = cloud.export_package()
 
     # 2. Provision and deploy.
-    hierarchical = regions is not None or n_devices > HIERARCHICAL_DEVICE_THRESHOLD
-    if hierarchical:
-        fleet: FleetCoordinator = HierarchicalFleetCoordinator(
-            settings.config, seed=settings.seed, n_regions=regions
-        )
-    else:
-        fleet = FleetCoordinator(settings.config, seed=settings.seed)
+    pooled = regions is not None or n_devices > HIERARCHICAL_DEVICE_THRESHOLD
+    fleet = (
+        HierarchicalFleetCoordinator(settings.config, seed=settings.seed, n_regions=regions)
+        if pooled
+        else FleetCoordinator(settings.config, seed=settings.seed)
+    )
     fleet.provision(n_devices)
     fleet.deploy(package)
 
-    # 3. Staggered increments: device i learns the new activity at its own
-    #    tick from its own subsample, so the fleet genuinely drifts apart.
-    #    Hierarchically only a fixed-size drift cohort (spread over the id
-    #    range, always including device 0 for the checkpoint probe) gets an
-    #    increment — scheduling one per device would materialise the whole
-    #    fleet and defeat the pooling.
-    if hierarchical:
-        drift_ids = np.unique(
+    # 3. Staggered increments: each drifting device learns the new activity
+    #    at its own tick from its own subsample, so the fleet genuinely
+    #    drifts apart.  Unpooled, every device drifts; pooled, only a
+    #    fixed-size cohort spread over the id range (always including device
+    #    0 for the checkpoint probe) — an increment per device would
+    #    materialise the whole fleet and defeat the pooling.
+    drift_ids = (
+        np.unique(
             np.linspace(
                 0, n_devices - 1, num=min(n_devices, HIERARCHICAL_DRIFT_DEVICES)
             ).astype(np.int64)
         )
-        schedule = {
-            int(device_id): scenario.stagger_start_tick
-            + rank * scenario.stagger_spacing_ticks
-            for rank, device_id in enumerate(drift_ids)
-        }
-        increment_rngs = spawn_rngs(settings.seed, len(drift_ids))
-        fractions = np.linspace(scenario.min_increment_fraction, 1.0, len(drift_ids))
-        ranks = {int(device_id): rank for rank, device_id in enumerate(drift_ids)}
-    else:
-        schedule = staggered_schedule(
-            n_devices,
-            start_tick=scenario.stagger_start_tick,
-            spacing_ticks=scenario.stagger_spacing_ticks,
-        )
-        increment_rngs = spawn_rngs(settings.seed, n_devices)
-        fractions = np.linspace(scenario.min_increment_fraction, 1.0, n_devices)
-        ranks = {device_id: device_id for device_id in schedule}
+        if pooled
+        else np.arange(n_devices)
+    )
+    schedule = {
+        int(device_id): scenario.stagger_start_tick
+        + rank * scenario.stagger_spacing_ticks
+        for rank, device_id in enumerate(drift_ids)
+    }
+    increment_rngs = spawn_rngs(settings.seed, len(drift_ids))
+    fractions = np.linspace(scenario.min_increment_fraction, 1.0, len(drift_ids))
     increment_samples: Dict[int, int] = {}
-    for device_id, tick in schedule.items():
-        rank = ranks[device_id]
+    for rank, (device_id, tick) in enumerate(schedule.items()):
         n_samples = max(int(data_scenario.new_train.n_samples * fractions[rank]), 2)
         share = data_scenario.new_train.subsample(n_samples, rng=increment_rngs[rank])
         increment_samples[device_id] = share.n_samples
@@ -328,49 +319,28 @@ def run(
             np.array_equal(device0.infer(probe), restored.infer(probe))
         )
 
+    # One row per serving lane: pooled region lanes first (labelled by region
+    # and device count), then the materialised devices.
     device_rows = []
-    if isinstance(fleet, HierarchicalFleetCoordinator):
-        # One row per serving lane: pooled region lanes first (labelled by
-        # region and multiplicity), then the materialised (drifted) devices.
-        for lane in fleet.serving_lanes():
-            stats = routing_report.per_device[lane.device_id]
-            pooled = lane.device_id < 0
-            region = (
-                fleet.regions[-lane.device_id - 1]
-                if pooled
-                else fleet.region_of(lane.device_id)
-            )
-            device_rows.append(
-                {
-                    "device_id": (
-                        f"R{region.region_id}x{region.n_pooled}"
-                        if pooled
-                        else lane.device_id
-                    ),
-                    "profile": lane.profile.name,
-                    "requests": stats.requests,
-                    "throughput": stats.throughput,
-                    "mean_latency_ms": stats.mean_latency_seconds * 1e3,
-                    "max_queue_depth": stats.max_queue_depth,
-                    "increment_tick": schedule.get(lane.device_id, "-"),
-                    "accuracy": accuracy.per_device.get(lane.device_id, float("nan")),
-                }
-            )
-    else:
-        for device in fleet.devices:
-            stats = routing_report.per_device[device.device_id]
-            device_rows.append(
-                {
-                    "device_id": device.device_id,
-                    "profile": device.profile.name,
-                    "requests": stats.requests,
-                    "throughput": stats.throughput,
-                    "mean_latency_ms": stats.mean_latency_seconds * 1e3,
-                    "max_queue_depth": stats.max_queue_depth,
-                    "increment_tick": schedule[device.device_id],
-                    "accuracy": accuracy.per_device[device.device_id],
-                }
-            )
+    for lane in fleet.serving_lanes():
+        stats = routing_report.per_device[lane.device_id]
+        region = fleet.pooled_region(lane)
+        device_rows.append(
+            {
+                "device_id": (
+                    lane.device_id
+                    if region is None
+                    else f"R{region.region_id}x{region.n_pooled}"
+                ),
+                "profile": lane.profile.name,
+                "requests": stats.requests,
+                "throughput": stats.throughput,
+                "mean_latency_ms": stats.mean_latency_seconds * 1e3,
+                "max_queue_depth": stats.max_queue_depth,
+                "increment_tick": schedule.get(lane.device_id, "-"),
+                "accuracy": accuracy.per_device.get(lane.device_id, float("nan")),
+            }
+        )
     logger.info(
         "fleet simulation: %d devices, %.0f windows/s aggregate, accuracy spread %.4f",
         n_devices,
@@ -389,9 +359,7 @@ def run(
         scheduling_order=client.scheduling,
         deadline_ms=deadline_ms,
         executor_name=client.executor,
-        n_regions=(
-            fleet.n_regions if isinstance(fleet, HierarchicalFleetCoordinator) else None
-        ),
+        n_regions=fleet.n_regions or None,
         peak_rss_bytes=_peak_rss_bytes(),
         deploy_bytes=fleet.transfers.deploy_bytes,
         deploy_shipments=fleet.transfers.deploy_shipments,

@@ -82,31 +82,25 @@ def build_serving_fleet(
 ) -> FleetCoordinator:
     """A deployed, warmed fleet ready to sit behind the front door.
 
-    With ``regions`` the fleet is a
-    :class:`~repro.fleet.HierarchicalFleetCoordinator` — the server then
-    fronts its pooled regional serving lanes, exactly what ``serve()``
-    builds for million-device simulations.
+    With ``regions`` the fleet is pooled
+    (:class:`~repro.fleet.HierarchicalFleetCoordinator`) — the server then
+    fronts its regional serving lanes, exactly what ``serve()`` builds for
+    million-device simulations.
     """
     if n_devices <= 0:
         raise ConfigurationError(f"n_devices must be positive, got {n_devices}")
     package = package_for_edge(make_serving_learner(config, seed=seed))
-    if regions is not None:
-        fleet: FleetCoordinator = HierarchicalFleetCoordinator(
+    fleet = (
+        HierarchicalFleetCoordinator(
             config, profiles=(SIM_NODE,), seed=seed, n_regions=regions
         )
-    else:
-        fleet = FleetCoordinator(config, profiles=(SIM_NODE,), seed=seed)
+        if regions is not None
+        else FleetCoordinator(config, profiles=(SIM_NODE,), seed=seed)
+    )
     fleet.provision(n_devices)
     fleet.deploy(package)
-    lanes = (
-        fleet.serving_lanes()
-        if isinstance(fleet, HierarchicalFleetCoordinator)
-        else fleet.devices
-    )
-    for lane in lanes:
-        engine = getattr(lane, "engine", None)
-        if engine is not None:
-            engine.warm()
+    for lane in fleet.serving_lanes():
+        lane.engine.warm()
     return fleet
 
 

@@ -41,11 +41,7 @@ from repro.edge.device import DeviceProfile, EdgeDevice
 from repro.edge.inference import InferenceEngine
 from repro.edge.magneto import MagnetoPlatform
 from repro.exceptions import ClientClosedError, RoutingError, ServingError
-from repro.fleet.coordinator import (
-    FleetCoordinator,
-    FleetDevice,
-    HierarchicalFleetCoordinator,
-)
+from repro.fleet.coordinator import FleetCoordinator, FleetDevice
 from repro.serving.executor import Executor
 from repro.serving.protocol import PendingResult, PredictRequest
 from repro.serving.report import RoutingReport
@@ -102,8 +98,8 @@ class ServingClient:
     Parameters
     ----------
     devices:
-        Device-like targets (``FleetCoordinator.devices`` passes its live
-        list, so device replacement reaches in-flight requests).
+        Device-like targets (``FleetCoordinator.serving_lanes()`` passes a
+        live list, so device replacement reaches in-flight requests).
     routing:
         Policy name (``"hash"``, ``"least-loaded"``, ``"p2c"``), a
         :class:`~repro.serving.routing.RoutingPolicy` instance, or ``None``
@@ -390,7 +386,7 @@ class ServingClient:
         lanes = [
             position
             for position, device in enumerate(self._scheduler.devices)
-            if rollout.plan.cohorts.get(device.device_id) == cohort
+            if self._coordinator.cohort_of(device.device_id) == cohort
             and getattr(device, "is_deployed", True)
         ]
         if not lanes:
@@ -444,27 +440,17 @@ def serve(
 
 def _build_client(target, options: dict, PILOTE) -> ServingClient:
     routing = options["routing"]
-    if isinstance(target, HierarchicalFleetCoordinator):
-        if not target.regions:
+    if isinstance(target, FleetCoordinator):
+        if not len(target):
             raise ServingError("the fleet has no devices; provision() first")
-        lanes = target.serving_lanes()
-        if routing is None or routing == "hash":
+        if target.pooled and routing in (None, "hash"):
             # Hash through the fleet's device → lane map so pooled devices
-            # keep the exact user placement a flat fleet would give them.
+            # keep the exact user placement an unpooled fleet gives them.
             options["routing"] = RegionalRouting(target)
         return ServingClient(
-            lanes,
+            target.serving_lanes(),
             coordinator=target,
-            label="fleet-tree",
-            **options,
-        )
-    if isinstance(target, FleetCoordinator):
-        if not target.devices:
-            raise ServingError("the fleet has no devices; provision() first")
-        return ServingClient(
-            target.devices,
-            coordinator=target,
-            label="fleet",
+            label="fleet-tree" if target.pooled else "fleet",
             **options,
         )
     if isinstance(target, FleetDevice):

@@ -146,19 +146,20 @@ class HashRouting(RoutingPolicy):
 
 
 class RegionalRouting(RoutingPolicy):  # repro: noqa[repro-registry] needs a fleet, constructed explicitly
-    """Hash routing through a hierarchical fleet's ``device → lane`` map.
+    """Hash routing through a pooled fleet's ``device → lane`` map.
 
     Users are hashed to a *device* exactly as :class:`HashRouting` hashes
-    them to a lane on a flat fleet (same salt draw, same modulus over the
-    device count), then the fleet's lane map folds pooled devices onto their
-    region's template lane while drifted devices keep their own lane.  A
-    user therefore lands on the same logical device whether the fleet is
-    flat or hierarchical — only the amount of physical state behind that
-    device differs.
+    them to a lane on an unpooled fleet (same salt draw, same modulus over
+    the device count), then the fleet's lane map folds pooled devices onto
+    their region's template lane while materialised devices keep their own
+    lane.  A user therefore lands on the same logical device whether or not
+    the fleet pools — only the amount of physical state behind that device
+    differs.
 
     Not in :data:`ROUTING_POLICIES`: it needs a fleet, so
-    :func:`repro.serving.client.serve` constructs it when handed a
-    :class:`~repro.fleet.coordinator.HierarchicalFleetCoordinator`.
+    :func:`repro.serving.client.serve` constructs it when handed a pooled
+    :class:`~repro.fleet.coordinator.FleetCoordinator` (one whose regions
+    serve many devices each).
     """
 
     name = "regional"

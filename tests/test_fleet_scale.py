@@ -9,9 +9,13 @@ Covers the hierarchical coordinator stack end to end at test scale:
   deltas small — updates exactly one prototype and bumps the state version;
 * ``FleetCoordinator.device()`` resolves through the id index (including
   after ``replace_device``);
-* ``HierarchicalFleetCoordinator`` serves a small fleet bit-identically to
-  the flat coordinator, pools undrifted devices behind region lanes, and
-  weights accuracy by multiplicity;
+* ``HierarchicalFleetCoordinator`` (the pooled case of the one coordinator)
+  serves a small fleet bit-identically to the unpooled one, drifted devices
+  included, pools undrifted devices behind region lanes, and weights
+  accuracy by multiplicity;
+* a rollout redeploys each stage unit (device or region) of either kind of
+  fleet, templates and materialised devices alike, and the ledger counts
+  only shipments actually made;
 * ``CheckpointStore.save(delta=True)`` restores exactly, including through
   delta chains and after LRU eviction consolidates a delta's base away;
 * the process executor ships deltas (not full snapshots) for an
@@ -28,6 +32,7 @@ import pytest
 from repro.core.config import PiloteConfig
 from repro.core.embedding import EmbeddingNetwork
 from repro.core.pilote import PILOTE
+from repro.data.dataset import HARDataset
 from repro.edge.device import DEVICE_PROFILES, DeviceProfile, EdgeDevice
 from repro.edge.inference import EngineSnapshotDelta, EngineStateSnapshot
 from repro.edge.transfer import package_for_edge
@@ -44,6 +49,7 @@ from repro.fleet import (
     HierarchicalFleetCoordinator,
 )
 from repro.serving import PredictRequest, serve
+from repro.serving.rollout import StagedRollout
 
 N_FEATURES = 20
 CONFIG = PiloteConfig(hidden_dims=(32, 16), embedding_dim=8, cache_size=200, seed=0)
@@ -66,6 +72,13 @@ def make_serving_learner(n_classes: int = 4, per_class: int = 25) -> PILOTE:
         )
     learner._refresh_prototypes()
     return learner
+
+
+def make_new_class_dataset(class_id: int = 4, n_samples: int = 24) -> HARDataset:
+    """A small labelled split of one unseen class, for on-device increments."""
+    rng = np.random.default_rng(class_id)
+    features = rng.normal(size=(n_samples, N_FEATURES)) + class_id
+    return HARDataset(features, np.full(n_samples, class_id))
 
 
 @pytest.fixture()
@@ -194,6 +207,7 @@ class TestDeviceIndex:
         replacement = FleetDevice(1, EdgeDevice(SIM_NODE))
         fleet.replace_device(1, replacement)
         assert fleet.device(1) is replacement
+        assert fleet.serving_lanes() is fleet.devices  # the live list itself
         # Untouched ids still resolve after the swap.
         assert fleet.device(0).device_id == 0
         assert fleet.device(2).device_id == 2
@@ -225,6 +239,14 @@ class TestHierarchicalFleet:
         tree.deploy(package)
         for device_id in range(6):
             tree.device(device_id)  # materialise everyone pre-freeze
+        # Two devices drift on both fleets: each increment trains from the
+        # device's own id-indexed seed, so the drifted states must agree.
+        new_class = make_new_class_dataset()
+        for fleet in (flat, tree):
+            for tick, device_id in enumerate((1, 4)):
+                fleet.schedule_increment(device_id, tick, new_class)
+            assert set(fleet.run_due_increments(1)) == {1, 4}
+        assert 4 in tree.device(4).learner.classes_
 
         flat_client = serve(flat, seed=11)
         tree_client = serve(tree, seed=11)
@@ -265,8 +287,6 @@ class TestHierarchicalFleet:
 
         dataset = har_dataset.subsample(40, rng=np.random.default_rng(0))
         probe_features = dataset.features[:, :N_FEATURES]
-        from repro.data.dataset import HARDataset
-
         probe = HARDataset(probe_features, dataset.labels % 4)
         report = tree.accuracy_report(probe)
         assert report.n_devices == 100  # weights carry the multiplicity
@@ -313,6 +333,62 @@ class TestHierarchicalFleet:
         assert tree.cohort_of(0) is not None
         with pytest.raises(ConfigurationError):
             tree.rollout_report()
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["flat", "pooled"])
+    def test_redeploy_rebuilds_stage_units(self, learner, pooled):
+        """A rollout redeploys each stage unit's template and materialised
+        devices; a broadcast skips deployed units and ships nothing to them."""
+        package_a = self._package(learner)  # classes 0-3
+        package_b = package_for_edge(make_serving_learner(n_classes=3))
+        fleet = (
+            HierarchicalFleetCoordinator(CONFIG, profiles=(SIM_NODE,), seed=7, n_regions=2)
+            if pooled
+            else FleetCoordinator(CONFIG, profiles=(SIM_NODE,), seed=7)
+        )
+        fleet.provision(4)
+        n_units = 2 if pooled else 4
+        fleet.deploy(package_a)
+        fleet.deploy(package_a)  # every unit already holds a package
+        assert fleet.transfers.deploy_shipments == n_units
+
+        fleet.device(1)  # materialised before the rollout reaches it
+        fleet.deploy(package_b, rollout=StagedRollout(fractions=(0.5, 1.0)))
+        assert fleet.transfers.deploy_shipments == n_units + n_units // 2
+        assert fleet.device(1).learner.classes_ == [0, 1, 2]
+        # Device 3's unit is in stage 1: it still runs the old package, also
+        # when it is materialised only now.
+        assert fleet.device(3).learner.classes_ == [0, 1, 2, 3]
+
+        lanes = fleet.serving_lanes()
+        fleet.advance_rollout()
+        assert fleet.transfers.deploy_shipments == 2 * n_units
+        assert all(lane.learner.classes_ == [0, 1, 2] for lane in lanes)
+        assert fleet.device(3).learner.classes_ == [0, 1, 2]
+
+    def test_ab_rollout_over_single_device_regions(self, learner, windows):
+        """Regions of one device pool nothing, so user-routing rollouts and
+        per-device rollout reports work on them."""
+        package = self._package(learner)
+        tree = HierarchicalFleetCoordinator(CONFIG, profiles=(SIM_NODE,), seed=7, n_regions=4)
+        tree.provision(4)
+        tree.deploy(package)
+        tree.deploy(package, rollout="ab")
+        policy = tree.active_rollout.policy
+        client = serve(tree, seed=3)
+        try:
+            pending = [
+                client.submit(PredictRequest(user_id=user, features=windows[:1]))
+                for user in range(40)
+            ]
+            client.drain()
+            for user, result in enumerate(p.result() for p in pending):
+                assert tree.cohort_of(result.device_id) == policy.user_cohort(user)
+            report = tree.rollout_report(serving=client.report())
+        finally:
+            client.close()
+        assert set(report.per_cohort) == {"treatment", "control"}
+        assert sum(row.requests for row in report.per_cohort.values()) == 40
+        assert sorted(i for row in report.per_cohort.values() for i in row.device_ids) == [0, 1, 2, 3]
 
     def test_user_routing_rollouts_rejected(self, learner):
         package = self._package(learner)
